@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.compiler.lower import ExecProgram
-from repro.compiler.runtime import TARGET_INDEX, execute_bases
+from repro.compiler.runtime import TARGET_INDEX, execute_interpreted
 from repro.telemetry.registry import CounterRegistry
 
 #: Process-wide codegen statistics (``exec.codegen.*`` through brokers).
@@ -319,7 +319,7 @@ def _selfcheck(program: ExecProgram, scalar: Callable, batch: Callable) -> None:
     _SELFCHECKS.add(1)
     meta, mbuf, descriptor, data, state = _SHADOW_BASES
     reference = _shadow_cpu()
-    execute_bases(reference, program, meta, mbuf, descriptor, data, state)
+    execute_interpreted(reference, program, meta, mbuf, descriptor, data, state)
     generated = _shadow_cpu()
     scalar(generated, meta, mbuf, descriptor, data, state)
     if _shadow_state(reference) != _shadow_state(generated):
@@ -336,10 +336,11 @@ def _selfcheck(program: ExecProgram, scalar: Callable, batch: Callable) -> None:
     for pkt in shadow_batch:
         ref = pkt.mbuf
         if ref is not None:
-            execute_bases(reference, program, ref.meta_addr, ref.mbuf_addr,
-                          ref.cqe_addr, ref.data_addr, state)
+            execute_interpreted(reference, program, ref.meta_addr,
+                                ref.mbuf_addr, ref.cqe_addr, ref.data_addr,
+                                state)
         else:
-            execute_bases(reference, program, 0, 0, 0, 0, state)
+            execute_interpreted(reference, program, 0, 0, 0, 0, state)
     generated = _shadow_cpu()
     batch(generated, shadow_batch, state)
     if _shadow_state(reference) != _shadow_state(generated):

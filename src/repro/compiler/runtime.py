@@ -105,6 +105,12 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
 
     The fast entry point for the driver and PMD hot loops: no Bindings
     object is materialized.  Identical charge sequence to :func:`execute`.
+
+    Memory and random ops charge no instructions (they were folded into
+    ``program.instructions``), so their latency is added to the core
+    directly, as the generated kernels do: ``CpuCore.mem_access`` with
+    ``instructions=0.0`` would add ``cycles + 0.0 / ipc``, which is
+    exactly ``cycles``.
     """
     cpu.charge_compute(program.instructions)
     if program.branch_miss_expect:
@@ -115,14 +121,20 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
         ops = compiled_ops(program)
     if ops:
         bases = (meta, mbuf, descriptor, data, state)
-        mem_access = cpu.mem_access
+        core_id = cpu.core_id
+        access = cpu.mem.access
         for target, offset, size, write in ops:
-            mem_access(bases[target] + offset, size, write, 0.0)
+            cycles, ns = access(core_id, bases[target] + offset, size, write)
+            cpu.core_cycles += cycles
+            cpu.uncore_ns += ns
     if program.random_ops:
-        random_access = cpu.random_access
+        core_id = cpu.core_id
+        analytic = cpu.mem.analytic_access
         for footprint, count in program.random_ops:
             for _ in range(count):
-                random_access(footprint, 0.0)
+                cycles, ns = analytic(core_id, footprint)
+                cpu.core_cycles += cycles
+                cpu.uncore_ns += ns
 
 
 def execute(cpu, program: ExecProgram, bindings: Bindings) -> None:

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+#: Levels ``CacheHierarchy.lookup`` reports (also its class attributes).
+L1, L2, LLC, DRAM = range(4)
+
 
 class Cache:
     """One set-associative, write-allocate, LRU cache level.
@@ -28,7 +31,7 @@ class Cache:
     """
 
     __slots__ = ("name", "size", "assoc", "line_size", "n_sets", "_sets",
-                 "_ddio_count", "hits", "misses")
+                 "_ddio_count")
 
     def __init__(self, name: str, size: int, assoc: int, line_size: int = 64):
         if size % (assoc * line_size):
@@ -41,20 +44,13 @@ class Cache:
         self._sets: List[Dict[int, bool]] = [{} for _ in range(self.n_sets)]
         # Per-set count of DDIO-allocated lines (avoids rescanning flags).
         self._ddio_count: List[int] = [0] * self.n_sets
-        self.hits = 0
-        self.misses = 0
-
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr % self.n_sets
 
     def access(self, line_addr: int) -> bool:
         """Look up a line; on a hit, promote it to MRU.  Returns hit/miss."""
         cset = self._sets[line_addr % self.n_sets]
         flag = cset.pop(line_addr, None)
         if flag is None:
-            self.misses += 1
             return False
-        self.hits += 1
         cset[line_addr] = flag  # re-insert at the MRU end
         return True
 
@@ -107,15 +103,10 @@ class Cache:
         """Number of valid lines currently cached."""
         return sum(len(s) for s in self._sets)
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def flush(self) -> None:
         for cset in self._sets:
             cset.clear()
         self._ddio_count = [0] * self.n_sets
-        self.reset_stats()
 
     def __repr__(self) -> str:
         return "Cache(%s, %dKB, %d-way)" % (self.name, self.size // 1024, self.assoc)
@@ -127,9 +118,14 @@ class CacheHierarchy:
     ``lookup`` walks the hierarchy and back-fills inclusively; ``dma_write``
     models the NIC writing packet data/descriptors straight into the LLC's
     DDIO ways while invalidating stale copies in core-private levels.
+
+    Only the LLC ever holds DDIO lines: the core-private L1/L2 levels are
+    filled by demand walks alone, so their flags are always ``False`` and
+    their DDIO counts always zero.  ``lookup`` and ``dma_write`` rely on
+    that to skip the DDIO bookkeeping on private sets.
     """
 
-    L1, L2, LLC, DRAM = range(4)
+    L1, L2, LLC, DRAM = L1, L2, LLC, DRAM
 
     def __init__(self, params, n_cores: int = 1):
         self.params = params
@@ -139,28 +135,54 @@ class CacheHierarchy:
         self.l2 = [Cache("L2-%d" % c, params.l2_size, params.l2_assoc, params.cache_line)
                    for c in range(n_cores)]
         self.llc = Cache("LLC", params.llc_size, params.llc_assoc, params.cache_line)
+        self._private = self.l1 + self.l2
 
     def lookup(self, core: int, line_addr: int) -> int:
-        """Return the level that served the line and fill upper levels."""
-        if self.l1[core].access(line_addr):
-            return self.L1
-        if self.l2[core].access(line_addr):
-            self.l1[core].fill(line_addr)
-            return self.L2
-        if self.llc.access(line_addr):
-            self.l2[core].fill(line_addr)
-            self.l1[core].fill(line_addr)
-            return self.LLC
-        self.llc.fill(line_addr)
-        self.l2[core].fill(line_addr)
-        self.l1[core].fill(line_addr)
-        return self.DRAM
+        """Return the level that served the line and fill upper levels.
+
+        The whole demand walk works on the set dicts directly: a hit pops
+        the line and re-inserts it at the MRU end, and each level that
+        missed is filled on the way back, evicting its set's LRU (first)
+        line when full.  The decisions are those of ``Cache.access``
+        followed by ``Cache.fill`` at every level, without the calls.
+        """
+        l1 = self.l1[core]
+        s1 = l1._sets[line_addr % l1.n_sets]
+        flag = s1.pop(line_addr, None)
+        if flag is not None:
+            s1[line_addr] = flag
+            return L1
+        l2 = self.l2[core]
+        s2 = l2._sets[line_addr % l2.n_sets]
+        flag = s2.pop(line_addr, None)
+        if flag is not None:
+            s2[line_addr] = flag
+            level = L2
+        else:
+            llc = self.llc
+            idx = line_addr % llc.n_sets
+            s3 = llc._sets[idx]
+            flag = s3.pop(line_addr, None)
+            if flag is not None:
+                s3[line_addr] = flag  # a DDIO line stays a DDIO line
+                level = LLC
+            else:
+                if len(s3) >= llc.assoc and s3.pop(next(iter(s3))):
+                    llc._ddio_count[idx] -= 1
+                s3[line_addr] = False
+                level = DRAM
+            if len(s2) >= l2.assoc:
+                del s2[next(iter(s2))]
+            s2[line_addr] = False
+        if len(s1) >= l1.assoc:
+            del s1[next(iter(s1))]
+        s1[line_addr] = False
+        return level
 
     def dma_write(self, line_addr: int) -> None:
         """NIC DMA of one line: DDIO-allocate in LLC, invalidate core copies."""
-        for core in range(self.n_cores):
-            self.l1[core].invalidate(line_addr)
-            self.l2[core].invalidate(line_addr)
+        for cache in self._private:
+            cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
         self.llc.fill(line_addr, ddio=True, ddio_ways=self.params.ddio_ways)
 
     def dma_read(self, line_addr: int) -> bool:
@@ -168,5 +190,5 @@ class CacheHierarchy:
         return self.llc.access(line_addr)
 
     def flush(self) -> None:
-        for cache in self.l1 + self.l2 + [self.llc]:
+        for cache in self._private + [self.llc]:
             cache.flush()

@@ -20,7 +20,7 @@ import enum
 import random
 from typing import Tuple
 
-from repro.hw.cache import CacheHierarchy
+from repro.hw.cache import DRAM, L2, LLC, CacheHierarchy
 from repro.hw.counters import PerfCounters
 from repro.hw.layout import DMA_BASE
 from repro.hw.tlb import Tlb
@@ -59,10 +59,17 @@ class MemorySystem:
         """Access ``size`` bytes at ``addr``; returns (core_cycles, uncore_ns).
 
         Each cache line spanned counts as one load/store; the TLB is
-        consulted once per page touched.
+        consulted once per page touched.  Most lines hit in L1, so the
+        L1 check is made here; a miss takes the full walk in
+        :meth:`CacheHierarchy.lookup`, whose own L1 check then misses
+        again without changing anything.
         """
         params = self.params
         h = self.counters[core].handles
+        tlb = self.tlbs[core]
+        l1 = self.hierarchy.l1[core]
+        l1_sets = l1._sets
+        n_sets = l1.n_sets
         line = params.cache_line
         first_line = addr // line
         last_line = (addr + size - 1) // line
@@ -70,18 +77,27 @@ class MemorySystem:
         ns = 0.0
         page = -1
         for line_addr in range(first_line, last_line + 1):
-            line_page = self._page_of(line_addr * line)
+            byte = line_addr * line
+            if byte >= DMA_BASE:
+                # The DPDK DMA region is hugepage-backed (2 MB pages).
+                line_page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+            else:
+                line_page = byte // params.page_size
             if line_page != page:
                 page = line_page
-                ns += self.tlbs[core].access(page)
-            level = self.hierarchy.lookup(core, line_addr)
-            if level == CacheHierarchy.L1:
+                ns += tlb.access(page)
+            cset = l1_sets[line_addr % n_sets]
+            flag = cset.pop(line_addr, None)
+            if flag is not None:
+                cset[line_addr] = flag
                 h.l1_hits.value += 1
                 cycles += params.l1_hit_cycles
-            elif level == CacheHierarchy.L2:
+                continue
+            level = self.hierarchy.lookup(core, line_addr)
+            if level == L2:
                 h.l2_hits.value += 1
                 cycles += params.l2_hit_cycles
-            elif level == CacheHierarchy.LLC:
+            elif level == LLC:
                 h.llc_loads.value += 1
                 h.llc_hits.value += 1
                 ns += params.llc_hit_ns / params.mlp
@@ -89,14 +105,8 @@ class MemorySystem:
                 h.llc_loads.value += 1
                 h.llc_misses.value += 1
                 ns += params.dram_ns / params.mlp
-        h.dtlb_walks.value = self.tlbs[core].walks
+        h.dtlb_walks.value = tlb.walks
         return cycles, ns
-
-    def _page_of(self, addr: int) -> int:
-        """Page number; the DPDK DMA region is hugepage-backed (2 MB)."""
-        if addr >= DMA_BASE:
-            return (1 << 40) + (addr - DMA_BASE) // HUGE_PAGE_SIZE
-        return addr // self.params.page_size
 
     # -- analytic capacity model -----------------------------------------------
 
@@ -156,21 +166,14 @@ class MemorySystem:
         """
         params = self.params
         line = params.cache_line
-        hierarchy = self.hierarchy
+        lookup = self.hierarchy.lookup
         ns = 0.0
         for line_addr in range(addr // line, (addr + size - 1) // line + 1):
-            if hierarchy.l1[core].access(line_addr):
-                continue
-            if hierarchy.l2[core].access(line_addr):
-                self.hierarchy.l1[core].fill(line_addr)
-                continue
-            if hierarchy.llc.access(line_addr):
+            level = lookup(core, line_addr)
+            if level == LLC:
                 ns += params.llc_hit_ns / params.prefetch_mlp
-            else:
-                hierarchy.llc.fill(line_addr)
+            elif level == DRAM:
                 ns += params.dram_ns / params.prefetch_mlp
-            hierarchy.l2[core].fill(line_addr)
-            hierarchy.l1[core].fill(line_addr)
         return ns
 
     # -- NIC DMA ------------------------------------------------------------------

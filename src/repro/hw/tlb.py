@@ -8,61 +8,59 @@ lets that effect show up in the measurements.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 
+class _LruSet(dict):
+    """A fully-associative LRU set of page numbers with a capacity bound.
 
-class _LruSet(OrderedDict):
-    """A fully-associative LRU set of page numbers with a capacity bound."""
+    Pages are kept least-recently-used first: a hit pops the page and
+    re-inserts it at the MRU end, and an insert past the capacity drops
+    the first page.
+    """
 
     def __init__(self, capacity: int):
         super().__init__()
         self.capacity = capacity
 
-    def __reduce__(self):
-        # OrderedDict's default reconstructor passes the items to
-        # __init__, which here takes a capacity -- rebuild explicitly so
-        # instances survive pickling (process-pool sweep results carry
-        # the full hardware model).
-        return (self.__class__, (self.capacity,), None, None, iter(self.items()))
-
     def access(self, page: int) -> bool:
-        if page in self:
-            self.move_to_end(page)
-            return True
+        hit = self.pop(page, False)
         self[page] = True
-        if len(self) > self.capacity:
-            self.popitem(last=False)
-        return False
+        if not hit and len(self) > self.capacity:
+            del self[next(iter(self))]
+        return hit
 
 
 class Tlb:
-    """L1 DTLB backed by a unified STLB; misses cost a page-walk."""
+    """L1 DTLB backed by a unified STLB; misses cost a page-walk.
+
+    The last page translated is always the DTLB's MRU entry, so
+    translating it again moves nothing and costs nothing: ``access``
+    answers it without touching either set.
+    """
 
     def __init__(self, params):
         self.params = params
         self._dtlb = _LruSet(params.dtlb_entries)
         self._stlb = _LruSet(params.stlb_entries)
-        self.dtlb_misses = 0
+        self._last_page = None
         self.walks = 0
-        self.accesses = 0
 
     def access(self, page: int) -> float:
         """Translate one page; returns the exposed walk latency in ns."""
-        self.accesses += 1
+        if page == self._last_page:
+            return 0.0
+        self._last_page = page
         if self._dtlb.access(page):
             return 0.0
-        self.dtlb_misses += 1
         if self._stlb.access(page):
             return 0.0  # STLB hits refill the DTLB essentially for free
         self.walks += 1
         return self.params.tlb_walk_ns
 
     def reset_stats(self) -> None:
-        self.dtlb_misses = 0
         self.walks = 0
-        self.accesses = 0
 
     def flush(self) -> None:
         self._dtlb.clear()
         self._stlb.clear()
+        self._last_page = None
         self.reset_stats()
