@@ -269,6 +269,14 @@ class _ShadowMem:
         h = (addr * 2654435761 + size * 97 + (13 if write else 0)) % 1009
         return h * 0.25, h * 0.125
 
+    def access_ops(self, core_id, ops, bases, cycles, ns):
+        for target, offset, size, write in ops:
+            op_cycles, op_ns = self.access(core_id, bases[target] + offset,
+                                           size, write)
+            cycles += op_cycles
+            ns += op_ns
+        return cycles, ns
+
     def analytic_access(self, core_id, footprint):
         return (footprint % 251) * 0.5, (footprint % 127) * 0.25
 

@@ -8,11 +8,12 @@ the supplied :class:`Bindings`.
 
 Because ``execute`` runs once per packet per element, the per-op work is
 specialized: each program's memory ops are flattened once into a tuple of
-``(target_index, offset, size, write)`` rows (cached on the program), so
-the per-packet loop does tuple unpacking and an index into the base-address
-tuple instead of dataclass attribute lookups and string compares.  The
-sequence and arguments of the ``cpu`` charge calls are unchanged, so the
-specialization is bit-exact.
+``(target_index, offset, size, write)`` rows (cached on the program), and
+:func:`execute_bases` hands the whole tuple, with the packet's base
+addresses, to :meth:`~repro.hw.memory.MemorySystem.access_ops` in one
+call.  The hardware model charges the rows in order and adds each op's
+cost to the core's running totals, so the result is bit-identical to one
+``access`` call per op.
 
 This module is also home to the **execution-tier API**.  The runtime has
 grown three bit-identical ways of charging a program:
@@ -110,7 +111,10 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
     ``program.instructions``), so their latency is added to the core
     directly, as the generated kernels do: ``CpuCore.mem_access`` with
     ``instructions=0.0`` would add ``cycles + 0.0 / ipc``, which is
-    exactly ``cycles``.
+    exactly ``cycles``.  All memory ops go to the hardware model in one
+    :meth:`~repro.hw.memory.MemorySystem.access_ops` call, which adds
+    each op's cost to the core's running totals in op order -- the same
+    float additions as one ``access`` call per op.
     """
     cpu.charge_compute(program.instructions)
     if program.branch_miss_expect:
@@ -120,13 +124,9 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
     except AttributeError:
         ops = compiled_ops(program)
     if ops:
-        bases = (meta, mbuf, descriptor, data, state)
-        core_id = cpu.core_id
-        access = cpu.mem.access
-        for target, offset, size, write in ops:
-            cycles, ns = access(core_id, bases[target] + offset, size, write)
-            cpu.core_cycles += cycles
-            cpu.uncore_ns += ns
+        cpu.core_cycles, cpu.uncore_ns = cpu.mem.access_ops(
+            cpu.core_id, ops, (meta, mbuf, descriptor, data, state),
+            cpu.core_cycles, cpu.uncore_ns)
     if program.random_ops:
         core_id = cpu.core_id
         analytic = cpu.mem.analytic_access

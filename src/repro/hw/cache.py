@@ -123,6 +123,13 @@ class CacheHierarchy:
     filled by demand walks alone, so their flags are always ``False`` and
     their DDIO counts always zero.  ``lookup`` and ``dma_write`` rely on
     that to skip the DDIO bookkeeping on private sets.
+
+    ``last_line[core]`` is the line that core's last demand access ended
+    on, or ``None``.  :meth:`MemorySystem.access_ops
+    <repro.hw.memory.MemorySystem.access_ops>` sets it; while it is set,
+    the line is the MRU entry of its L1 set.  Anything else that can
+    reorder or drop a core's L1 lines clears it: every ``lookup`` (for
+    that core), a ``dma_write`` over the line, and ``flush``.
     """
 
     L1, L2, LLC, DRAM = L1, L2, LLC, DRAM
@@ -136,6 +143,7 @@ class CacheHierarchy:
                    for c in range(n_cores)]
         self.llc = Cache("LLC", params.llc_size, params.llc_assoc, params.cache_line)
         self._private = self.l1 + self.l2
+        self.last_line: List[Optional[int]] = [None] * n_cores
 
     def lookup(self, core: int, line_addr: int) -> int:
         """Return the level that served the line and fill upper levels.
@@ -146,6 +154,7 @@ class CacheHierarchy:
         line when full.  The decisions are those of ``Cache.access``
         followed by ``Cache.fill`` at every level, without the calls.
         """
+        self.last_line[core] = None
         l1 = self.l1[core]
         s1 = l1._sets[line_addr % l1.n_sets]
         flag = s1.pop(line_addr, None)
@@ -179,16 +188,37 @@ class CacheHierarchy:
         s1[line_addr] = False
         return level
 
-    def dma_write(self, line_addr: int) -> None:
-        """NIC DMA of one line: DDIO-allocate in LLC, invalidate core copies."""
-        for cache in self._private:
-            cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
-        self.llc.fill(line_addr, ddio=True, ddio_ways=self.params.ddio_ways)
+    def dma_write(self, first_line: int, last_line: int) -> None:
+        """NIC DMA of lines ``first_line..last_line``: DDIO-allocate each
+        in the LLC and invalidate every core-private copy."""
+        memo = self.last_line
+        for core, line_addr in enumerate(memo):
+            if line_addr is not None and first_line <= line_addr <= last_line:
+                memo[core] = None
+        private = self._private
+        fill = self.llc.fill
+        ddio_ways = self.params.ddio_ways
+        for line_addr in range(first_line, last_line + 1):
+            for cache in private:
+                cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
+            fill(line_addr, True, ddio_ways)
 
-    def dma_read(self, line_addr: int) -> bool:
-        """NIC DMA read (TX): served from LLC when resident.  Returns hit."""
-        return self.llc.access(line_addr)
+    def dma_read(self, first_line: int, last_line: int) -> int:
+        """NIC DMA read (TX) of lines ``first_line..last_line``: each LLC
+        hit is promoted to MRU.  Returns the number of lines that hit."""
+        llc = self.llc
+        sets = llc._sets
+        n_sets = llc.n_sets
+        hits = 0
+        for line_addr in range(first_line, last_line + 1):
+            cset = sets[line_addr % n_sets]
+            flag = cset.pop(line_addr, None)
+            if flag is not None:
+                cset[line_addr] = flag
+                hits += 1
+        return hits
 
     def flush(self) -> None:
         for cache in self._private + [self.llc]:
             cache.flush()
+        self.last_line = [None] * self.n_cores

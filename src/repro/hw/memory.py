@@ -58,53 +58,87 @@ class MemorySystem:
                write: bool = False) -> Tuple[float, float]:
         """Access ``size`` bytes at ``addr``; returns (core_cycles, uncore_ns).
 
-        Each cache line spanned counts as one load/store; the TLB is
-        consulted once per page touched.  Most lines hit in L1, so the
-        L1 check is made here; a miss takes the full walk in
-        :meth:`CacheHierarchy.lookup`, whose own L1 check then misses
-        again without changing anything.
+        One op through :meth:`access_ops`, from zero totals (``0.0 + x``
+        is exactly ``x``).
+        """
+        return self.access_ops(core, ((0, 0, size, write),), (addr,), 0.0, 0.0)
+
+    def access_ops(self, core: int, ops, bases, cycles: float,
+                   ns: float) -> Tuple[float, float]:
+        """Charge a program's memory ops in order; returns the updated
+        running ``(cycles, ns)``.
+
+        Each ``(target, offset, size, write)`` row accesses ``size`` bytes
+        at ``bases[target] + offset``.  Each cache line spanned counts as
+        one load/store; the TLB is consulted once per page touched.  An
+        op's cost is summed from ``0.0`` over its lines and then added to
+        the running totals, which is the float sequence of one
+        :meth:`access` per op.
+
+        Most lines hit in L1, so the L1 check is made here; a miss takes
+        the full walk in :meth:`CacheHierarchy.lookup`, whose own L1 check
+        then misses again without changing anything.  An op whose only
+        line is the one this core's previous demand access ended on
+        (``hierarchy.last_line[core]``) is charged as the L1 hit it is:
+        that line is the MRU of its L1 set and its page is the TLB's last
+        page, so the full walk would move nothing.
         """
         params = self.params
         h = self.counters[core].handles
+        l1_hits = h.l1_hits
         tlb = self.tlbs[core]
-        l1 = self.hierarchy.l1[core]
+        hierarchy = self.hierarchy
+        l1 = hierarchy.l1[core]
         l1_sets = l1._sets
         n_sets = l1.n_sets
         line = params.cache_line
-        first_line = addr // line
-        last_line = (addr + size - 1) // line
-        cycles = 0.0
-        ns = 0.0
-        page = -1
-        for line_addr in range(first_line, last_line + 1):
-            byte = line_addr * line
-            if byte >= DMA_BASE:
-                # The DPDK DMA region is hugepage-backed (2 MB pages).
-                line_page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
-            else:
-                line_page = byte // params.page_size
-            if line_page != page:
-                page = line_page
-                ns += tlb.access(page)
-            cset = l1_sets[line_addr % n_sets]
-            flag = cset.pop(line_addr, None)
-            if flag is not None:
-                cset[line_addr] = flag
-                h.l1_hits.value += 1
-                cycles += params.l1_hit_cycles
+        page_size = params.page_size
+        l1_hit_cycles = params.l1_hit_cycles
+        memo = hierarchy.last_line[core]
+        for target, offset, size, _write in ops:
+            addr = bases[target] + offset
+            first_line = addr // line
+            last_line = (addr + size - 1) // line
+            if first_line == memo and last_line == memo:
+                l1_hits.value += 1
+                cycles += l1_hit_cycles
                 continue
-            level = self.hierarchy.lookup(core, line_addr)
-            if level == L2:
-                h.l2_hits.value += 1
-                cycles += params.l2_hit_cycles
-            elif level == LLC:
-                h.llc_loads.value += 1
-                h.llc_hits.value += 1
-                ns += params.llc_hit_ns / params.mlp
-            else:
-                h.llc_loads.value += 1
-                h.llc_misses.value += 1
-                ns += params.dram_ns / params.mlp
+            if last_line < first_line:
+                continue  # no line touched (size <= 0): the memo stands
+            op_cycles = 0.0
+            op_ns = 0.0
+            for line_addr in range(first_line, last_line + 1):
+                byte = line_addr * line
+                if byte >= DMA_BASE:
+                    # The DPDK DMA region is hugepage-backed (2 MB pages).
+                    page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+                else:
+                    page = byte // page_size
+                if page != tlb.last_page:
+                    op_ns += tlb.access(page)
+                cset = l1_sets[line_addr % n_sets]
+                flag = cset.pop(line_addr, None)
+                if flag is not None:
+                    cset[line_addr] = flag
+                    l1_hits.value += 1
+                    op_cycles += l1_hit_cycles
+                    continue
+                level = hierarchy.lookup(core, line_addr)
+                if level == L2:
+                    h.l2_hits.value += 1
+                    op_cycles += params.l2_hit_cycles
+                elif level == LLC:
+                    h.llc_loads.value += 1
+                    h.llc_hits.value += 1
+                    op_ns += params.llc_hit_ns / params.mlp
+                else:
+                    h.llc_loads.value += 1
+                    h.llc_misses.value += 1
+                    op_ns += params.dram_ns / params.mlp
+            cycles += op_cycles
+            ns += op_ns
+            memo = last_line
+        hierarchy.last_line[core] = memo
         h.dtlb_walks.value = tlb.walks
         return cycles, ns
 
@@ -183,15 +217,13 @@ class MemorySystem:
         line = self.params.cache_line
         first_line = addr // line
         last_line = (addr + size - 1) // line
-        for line_addr in range(first_line, last_line + 1):
-            self.hierarchy.dma_write(line_addr)
+        self.hierarchy.dma_write(first_line, last_line)
         self.counters[0].handles.ddio_fills.value += last_line - first_line + 1
 
     def dma_read(self, addr: int, size: int) -> None:
         """NIC reads ``size`` bytes for transmission (no core-side cost)."""
         line = self.params.cache_line
-        for line_addr in range(addr // line, (addr + size - 1) // line + 1):
-            self.hierarchy.dma_read(line_addr)
+        self.hierarchy.dma_read(addr // line, (addr + size - 1) // line)
 
     # -- housekeeping ---------------------------------------------------------------
 

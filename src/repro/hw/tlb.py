@@ -32,23 +32,22 @@ class _LruSet(dict):
 class Tlb:
     """L1 DTLB backed by a unified STLB; misses cost a page-walk.
 
-    The last page translated is always the DTLB's MRU entry, so
-    translating it again moves nothing and costs nothing: ``access``
-    answers it without touching either set.
+    :attr:`last_page` is the last page translated, or ``None``.  It is
+    always the DTLB's MRU entry, so translating it again would move
+    nothing and cost nothing: :class:`~repro.hw.memory.MemorySystem`
+    skips that call.
     """
 
     def __init__(self, params):
         self.params = params
         self._dtlb = _LruSet(params.dtlb_entries)
         self._stlb = _LruSet(params.stlb_entries)
-        self._last_page = None
+        self.last_page = None
         self.walks = 0
 
     def access(self, page: int) -> float:
         """Translate one page; returns the exposed walk latency in ns."""
-        if page == self._last_page:
-            return 0.0
-        self._last_page = page
+        self.last_page = page
         if self._dtlb.access(page):
             return 0.0
         if self._stlb.access(page):
@@ -62,5 +61,5 @@ class Tlb:
     def flush(self) -> None:
         self._dtlb.clear()
         self._stlb.clear()
-        self._last_page = None
+        self.last_page = None
         self.reset_stats()

@@ -6,6 +6,12 @@ contents of every cache set in LRU order, the DDIO counts and the order
 of both TLB levels.  Small geometries make evictions, DDIO quota hits,
 TLB spills and page walks frequent; addresses straddle lines, pages and
 the hugepage-backed DMA region's start.
+
+A batched ``access_ops`` call is held to one reference ``access`` per
+row, added to the same running totals.  Its rows share a few bases, so
+the same-line shortcut (a row on the line the core's previous access
+ended on) is taken often; the totals start at non-dyadic floats, so any
+regrouping of the float additions shows.
 """
 
 import pickle
@@ -37,6 +43,15 @@ def small_params():
         page_size=PAGE,
         dtlb_entries=2,
         stlb_entries=4,
+        # Non-dyadic costs, so a sum taken in another order rounds
+        # differently and shows.
+        l1_hit_cycles=1.1,
+        l2_hit_cycles=10.3,
+        llc_hit_ns=18.7,
+        dram_ns=85.3,
+        mlp=3.0,
+        prefetch_mlp=7.0,
+        tlb_walk_ns=25.1,
     )
 
 
@@ -50,6 +65,29 @@ addresses = st.builds(lambda base, offset: base + offset,
                       st.sampled_from(BASES), st.integers(0, 6 * PAGE))
 sizes = st.integers(1, 3 * LINE)
 
+#: One program's memory ops: 1-6 ``(target, offset, size, write)`` rows
+#: over 2-3 bases.  Sizes include 0, which at a line-aligned address
+#: touches no line at all.
+op_bases = st.lists(addresses, min_size=2, max_size=3)
+op_rows = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.one_of(st.sampled_from((0, 8, LINE, 2 * LINE)),
+                        st.integers(0, 2 * LINE)),
+              st.one_of(st.sampled_from((0, 8, LINE)),
+                        st.integers(0, 3 * LINE)),
+              st.booleans()),
+    min_size=1, max_size=6,
+)
+totals = st.sampled_from((0.0, 0.1, 0.3, 7.7, 1e6 + 0.1))
+
+
+def access_ops_op(core):
+    def build(bases, rows, cycles, ns):
+        rows = tuple((target % len(bases), offset, size, write)
+                     for target, offset, size, write in rows)
+        return ("access_ops", core, rows, tuple(bases), cycles, ns)
+    return st.builds(build, op_bases, op_rows, totals, totals)
+
 
 def operations(n_cores):
     core = st.integers(0, n_cores - 1)
@@ -57,6 +95,10 @@ def operations(n_cores):
         st.one_of(
             st.tuples(st.just("access"), core, addresses, sizes),
             st.tuples(st.just("access"), core, addresses, sizes),
+            core.flatmap(access_ops_op),
+            core.flatmap(access_ops_op),
+            # A DMA write over the line a core's last access ended on.
+            st.tuples(st.just("dma_write_memo"), core, sizes),
             st.tuples(st.just("prefetch"), core, addresses, sizes),
             st.tuples(st.just("lookup"), core, addresses),
             st.tuples(st.just("dma_write"), addresses, sizes),
@@ -71,10 +113,28 @@ def operations(n_cores):
     )
 
 
+def resolve(mem, op):
+    """Fix an operation that depends on ``mem``'s state to plain values."""
+    if op[0] == "dma_write_memo":
+        line_addr = mem.hierarchy.last_line[op[1]]
+        return ("dma_write", (line_addr or 0) * LINE, op[2])
+    return op
+
+
 def apply(mem, op):
     kind = op[0]
     if kind == "access":
         return mem.access(op[1], op[2], op[3])
+    if kind == "access_ops":
+        _, core, rows, bases, cycles, ns = op
+        if isinstance(mem, reference_model.MemorySystem):
+            for target, offset, size, write in rows:
+                op_cycles, op_ns = mem.access(core, bases[target] + offset,
+                                              size, write)
+                cycles += op_cycles
+                ns += op_ns
+            return cycles, ns
+        return mem.access_ops(core, rows, bases, cycles, ns)
     if kind == "prefetch":
         return mem.prefetch(op[1], op[2], op[3])
     if kind == "lookup":
@@ -82,8 +142,12 @@ def apply(mem, op):
     if kind == "dma_write":
         return mem.dma_write(op[1], op[2])
     if kind == "dma_read":
-        hits = [mem.hierarchy.dma_read(line)
-                for line in range(op[1] // LINE, (op[1] + op[2] - 1) // LINE + 1)]
+        first_line, last_line = op[1] // LINE, (op[1] + op[2] - 1) // LINE
+        if isinstance(mem, reference_model.MemorySystem):
+            hits = sum(mem.hierarchy.dma_read(line)
+                       for line in range(first_line, last_line + 1))
+        else:
+            hits = mem.hierarchy.dma_read(first_line, last_line)
         mem.dma_read(op[1], op[2])
         return hits
     if kind == "flush":
@@ -110,6 +174,7 @@ def run_both(ops, n_cores, params=None):
     fused = MemorySystem(params, n_cores)
     reference = reference_model.MemorySystem(params, n_cores)
     for op in ops:
+        op = resolve(fused, op)
         assert apply(fused, op) == apply(reference, op), op
         assert state(fused) == state(reference), op
     return fused, reference
@@ -130,17 +195,23 @@ def test_four_cores_match_the_reference(ops):
 @settings(max_examples=60, deadline=None)
 @given(warmup=operations(4), after=operations(4))
 def test_a_pickled_model_continues_like_the_original(warmup, after):
-    fused, _ = run_both(warmup, 4)
+    # End the warm-up on an access, so the pickled model's same-line
+    # memo is live.
+    fused, _ = run_both(warmup + [("access", 1, BASES[3], 8)], 4)
+    assert fused.hierarchy.last_line[1] is not None
     clone = pickle.loads(pickle.dumps(fused))
     assert state(clone) == state(fused)
+    assert clone.hierarchy.last_line == fused.hierarchy.last_line
     for op in after:
+        op = resolve(fused, op)
         assert apply(clone, op) == apply(fused, op), op
         assert state(clone) == state(fused), op
 
 
 def test_shipped_geometry_matches_the_reference_on_a_long_mixed_run():
     """Default machine parameters, four cores, packet-like traffic: DMA
-    lines into rings, demand reads of the same lines and private state."""
+    lines into rings, demand reads of the same lines and private state,
+    and element-like programs whose field reads share a few lines."""
     rng = random.Random(12)
     ops = []
     for _ in range(6000):
@@ -153,9 +224,16 @@ def test_shipped_geometry_matches_the_reference_on_a_long_mixed_run():
             ops.append(("prefetch", core, ring, 128))
         elif pick < 0.35:
             ops.append(("dma_read", ring, 64))
-        elif pick < 0.7:
+        elif pick < 0.55:
             ops.append(("access", core, ring + rng.randrange(256),
                         rng.choice((2, 8, 64))))
+        elif pick < 0.7:
+            rows = tuple((rng.randrange(2), rng.randrange(192),
+                          rng.choice((1, 2, 4, 8, 64)), rng.random() < 0.3)
+                         for _ in range(rng.randint(1, 20)))
+            state_base = 0x10000 * (core + 1) + rng.randrange(64) * 128
+            ops.append(("access_ops", core, rows, (ring, state_base),
+                        rng.random() * 1e4, rng.random() * 1e4))
         else:
             ops.append(("access", core, 0x10000 * (core + 1)
                         + rng.randrange(1 << 18), rng.choice((4, 8, 16))))

@@ -95,6 +95,57 @@ class TestMemorySystem:
         _, ns = mem.access(0, 0x1000, 8)
         assert mem.counters[0].llc_misses == 1
 
+    def _memo_on(self, mem, addr):
+        """Access ``addr`` twice; the second is the same-line shortcut."""
+        mem.access(0, addr, 8)
+        line = addr // mem.params.cache_line
+        assert mem.hierarchy.last_line[0] == line
+        mem.reset_counters()
+        assert mem.access(0, addr, 8) == (mem.params.l1_hit_cycles, 0.0)
+        assert mem.counters[0].l1_hits == 1
+        return line
+
+    def test_dma_write_of_the_memo_line_forces_the_full_walk(self):
+        mem = self._mem(n_cores=2)
+        line = self._memo_on(mem, 0x1000)
+        mem.dma_write(0x1000, 8)
+        assert mem.hierarchy.last_line[0] is None
+        _, ns = mem.access(0, 0x1000, 8)
+        assert mem.counters[0].llc_hits == 1
+        assert ns == mem.params.llc_hit_ns / mem.params.mlp
+        assert mem.hierarchy.last_line[0] == line
+
+    def test_prefetch_into_the_same_l1_set_forces_the_full_walk(self):
+        mem = self._mem()
+        params = mem.params
+        self._memo_on(mem, 0x1000)
+        # One line per way, all in the memo line's L1 set: the memo line
+        # is evicted from L1 but stays in L2.
+        set_stride = params.l1_size // params.l1_assoc
+        for way in range(1, params.l1_assoc + 1):
+            mem.prefetch(0, 0x1000 + way * set_stride, 8)
+        assert mem.hierarchy.last_line[0] is None
+        mem.reset_counters()
+        cycles, _ = mem.access(0, 0x1000, 8)
+        assert mem.counters[0].l1_hits == 0
+        assert mem.counters[0].l2_hits == 1
+        assert cycles == params.l2_hit_cycles
+
+    def test_flush_forces_the_full_walk(self):
+        mem = self._mem()
+        self._memo_on(mem, 0x1000)
+        mem.flush()
+        assert mem.hierarchy.last_line == [None]
+        mem.access(0, 0x1000, 8)
+        assert mem.counters[0].llc_misses == 1
+        assert mem.counters[0].dtlb_walks == 1
+
+    def test_zero_line_op_keeps_the_memo(self):
+        mem = self._mem()
+        line = self._memo_on(mem, 0x1000)
+        assert mem.access(0, 0x3000, 0) == (0.0, 0.0)
+        assert mem.hierarchy.last_line[0] == line
+
     def test_cores_have_private_l1(self):
         mem = self._mem(n_cores=2)
         mem.access(0, 0x3000, 8)
