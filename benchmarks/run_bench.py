@@ -7,8 +7,8 @@ fan-out), verifies the two produce byte-identical
 speedups, and execution-cache hit rates.
 
 Tier mode (``--tiers``, ``BENCH_PR7.json``): runs fig01/fig06 once per
-execution tier (interpreter / compiled / codegen via ``REPRO_TIER``),
-verifies every tier produces byte-identical payloads, and adds a hot-path
+execution tier (compiled / codegen via ``REPRO_TIER``), verifies both
+tiers produce byte-identical payloads, and adds a hot-path
 microbenchmark timing the compiled op-tuple loop against the generated
 kernels over fig01's element programs.
 
@@ -170,7 +170,7 @@ def _hot_path_microbench(repeats: int):
 def run_tiers(args) -> int:
     scale = SMOKE_SCALE if args.smoke else QUICK
     experiments = (fig01, fig06)
-    tiers = ("interpreter", "compiled", "codegen")
+    tiers = ("compiled", "codegen")
     jobs = default_jobs()
     report = {
         "suite": "tiers-smoke" if args.smoke else "tiers",
@@ -197,8 +197,7 @@ def run_tiers(args) -> int:
                     "codegen_compiles": codegen_stats["compiles"],
                     "codegen_fallbacks": codegen_stats["fallbacks"],
                 }
-            match = payloads["interpreter"] == payloads["compiled"] \
-                == payloads["codegen"]
+            match = payloads["compiled"] == payloads["codegen"]
             if not match:
                 mismatches.append(name)
             entry["match"] = match

@@ -27,7 +27,6 @@ __all__ = [
     "BuildOptions",
     "MetadataModel",
     "ExecutionTier",
-    "TierPolicy",
     "FaultSchedule",
     "FaultSpec",
     "ShardedRuntime",
@@ -49,7 +48,6 @@ _LAZY = {
     "BuildOptions": ("repro.core.options", "BuildOptions"),
     "MetadataModel": ("repro.core.options", "MetadataModel"),
     "ExecutionTier": ("repro.compiler.runtime", "ExecutionTier"),
-    "TierPolicy": ("repro.compiler.runtime", "TierPolicy"),
     "FaultSchedule": ("repro.faults.schedule", "FaultSchedule"),
     "FaultSpec": ("repro.faults.schedule", "FaultSpec"),
     "ShardedRuntime": ("repro.core.sharded", "ShardedRuntime"),

@@ -14,11 +14,9 @@ Three cooperating checkers over the same IR the cost model executes:
   inter-element (``constant-branch``, ``redundant-check``); its dead
   edges sharpen the dataflow and its proven facts feed the codegen
   tier's dead-code elimination;
-- the **lints** (:mod:`repro.analyze.lints`, :mod:`repro.analyze.purity`,
-  :mod:`repro.analyze.sharding`):
+- the **lints** (:mod:`repro.analyze.lints`, :mod:`repro.analyze.sharding`):
   graph structure (unreachable elements, unconnected inputs, dangling
-  outputs, shadowed classifier rules), ``pure_process`` soundness for
-  the driver's packet-class fast path, and sharding safety of stateful
+  outputs, shadowed classifier rules) and sharding safety of stateful
   elements under multicore replication and steering.
 
 :func:`analyze_config` runs everything over one configuration; the CLI
@@ -46,12 +44,6 @@ from repro.analyze.findings import (
     severity_rank,
 )
 from repro.analyze.lints import GRAPH_LINTS, lint_graph
-from repro.analyze.purity import (
-    PurityError,
-    assert_pure,
-    check_graph_purity,
-    check_purity,
-)
 from repro.analyze.qos import lint_qos, lint_qos_config
 from repro.analyze.sharding import (
     classify_element_state,
@@ -79,15 +71,11 @@ __all__ = [
     "Finding",
     "GRAPH_LINTS",
     "MetadataDataflow",
-    "PurityError",
     "VerifierError",
     "analyze_config",
     "analyze_graph",
-    "assert_pure",
     "assert_verified",
     "attach_verifier",
-    "check_graph_purity",
-    "check_purity",
     "classify_element_state",
     "compute_program_facts",
     "crosscheck_reorder",

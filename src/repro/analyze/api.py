@@ -7,19 +7,18 @@ pipeline stage by stage without executing a packet:
 1. parse the configuration into a :class:`ProcessingGraph` (parse errors
    become findings, not tracebacks);
 2. graph lints (sources, reachability, ports, shadowed rules);
-3. purity checks for every ``pure_process`` annotation;
-4. IR verification of each element program, re-verified after every
+3. IR verification of each element program, re-verified after every
    compiler pass the options enable (so a pass bug names its pass);
-5. metadata reordering cross-check, when the options request the pass;
-6. lowering + verification of every lowered program;
-7. PMD RX/TX program verification and pool-balance pairing;
-8. path-sensitive constant propagation per output port
+4. metadata reordering cross-check, when the options request the pass;
+5. lowering + verification of every lowered program;
+6. PMD RX/TX program verification and pool-balance pairing;
+7. path-sensitive constant propagation per output port
    (``constant-branch``, ``redundant-check``);
-9. the X-Change metadata dataflow analysis (use-before-init, dead
+8. the X-Change metadata dataflow analysis (use-before-init, dead
    stores, dead fields) under the options' metadata model, with the
    constprop dead edges excluded from the successor relation;
-10. the sharding-safety lints, when a :class:`~repro.core.profile.RunProfile`
-    says how the config will be replicated (``n_cores``, RSS steering).
+9. the sharding-safety lints, when a :class:`~repro.core.profile.RunProfile`
+   says how the config will be replicated (``n_cores``, RSS steering).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.analyze.dataflow import MetadataDataflow, crosscheck_reorder
 from repro.analyze.findings import ERROR, NOTE, AnalysisReport, Finding
 from repro.analyze.lints import lint_graph
 from repro.analyze.sharding import lint_sharding, sharding_stats
-from repro.analyze.purity import check_graph_purity
 from repro.analyze.verifier import (
     attach_verifier,
     verify_exec_program,
@@ -95,9 +93,8 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
     if report is None:
         report = AnalysisReport()
 
-    # -- structure and annotations --------------------------------------------
+    # -- structure ----------------------------------------------------------------
     report.extend(lint_graph(graph))
-    report.extend(check_graph_purity(graph))
     report.extend(lint_qos(graph, qos))
 
     # -- layouts under the options' metadata model ------------------------------

@@ -5,8 +5,8 @@ hash-partitions flows across replicas; the PR 9 steering layer moves
 hash buckets between cores, and its optional *dispatch spray* sends a
 share of packets round-robin regardless of their flow hash.  Whether
 any of that is semantically safe depends on the state each element
-keeps -- knowledge the IR already carries and the purity checker
-already walks.  These lints classify it statically:
+keeps -- knowledge the IR already carries.  These lints classify it
+statically:
 
 - ``STATELESS``: no mutable state at all (a rewrite, a classifier);
 - ``READ_ONLY``: only reads shared structures (a FIB trie, a static

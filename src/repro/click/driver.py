@@ -16,7 +16,7 @@ Costs are charged from three sources per element visit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.click.element import Element
@@ -26,9 +26,7 @@ from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import (
     ExecutionTier,
     TierSelection,
-    as_policy,
     execute_bases,
-    execute_interpreted,
     select_tier,
 )
 from repro.telemetry import Telemetry
@@ -41,9 +39,6 @@ DISPATCH_INLINE = "inline"
 
 #: Indirect-call misprediction odds per batch hop in a dynamic graph.
 VIRTUAL_CALL_MISS = 0.45
-
-#: Route-cache miss sentinel (``None`` is a legal route: "drop").
-_NO_ROUTE = object()
 
 
 @dataclass(frozen=True)
@@ -277,7 +272,6 @@ class RouterDriver:
         injector=None,
         watchdog=None,
         telemetry: Optional[Telemetry] = None,
-        fastpath: Optional[bool] = None,
         qos_ports: Optional[Dict[int, "QosPort"]] = None,  # noqa: F821
         tier=None,
         codegen: Optional[Dict[str, "_codegen.CompiledProgram"]] = None,
@@ -304,37 +298,25 @@ class RouterDriver:
         self.sampler = telemetry.sampler
         self.spans = telemetry.spans
         self.stats = RunStats(self.registry)
-        # Execution tier + fast-path guards, resolved in ONE place
-        # (select_tier).  The route-memo fast path memoizes the routing
-        # decision of pure classification elements by class signature;
-        # charges are never replayed, so the simulated run is
-        # bit-identical.  Both it and the generated-code tier self-disable
-        # (fall back) when the run is instrumented: faults/watchdog demote
-        # codegen to the compiled tier, and telemetry additionally parks
-        # the route memo, where packets must stay individually observable
-        # end to end.  PacketMill passes a pre-resolved TierSelection;
-        # standalone constructions resolve policy/env here.
+        # Execution tier, resolved in ONE place (select_tier): the
+        # generated-code tier falls back to the compiled tier when faults
+        # or a watchdog instrument the run.  PacketMill passes a
+        # pre-resolved TierSelection; standalone constructions resolve
+        # the requested tier/environment here.
         if isinstance(tier, TierSelection):
             selection = tier
         else:
-            policy = as_policy(tier)
-            if fastpath is not None and policy.route_memo is None:
-                policy = replace(policy, route_memo=bool(fastpath))
             selection = select_tier(
-                policy,
+                tier,
                 faults=injector is not None,
                 watchdog=watchdog is not None,
-                telemetry=telemetry.enabled,
             )
         self.tier_selection = selection
         self.tier = selection.tier
-        self.fastpath = selection.route_memo
         _codegen.record_tier(selection.tier.value)
         if selection.demoted:
             _codegen.record_fallback()
-        self._interpret = selection.tier is ExecutionTier.INTERPRETER
         self._codegen_verify = codegen_verify
-        self._check_codegen = selection.check
         # element name -> generated batch kernel, False once compilation
         # failed (that element stays on the compiled tier).
         self._batch_fns: Optional[Dict[str, object]] = None
@@ -344,17 +326,6 @@ class RouterDriver:
                 for name, compiled in codegen.items():
                     self._batch_fns[name] = compiled.batch
         self._layout_registry = layout_registry
-        if self.fastpath:
-            # The fast path trusts pure_process annotations to skip
-            # process() calls; machine-check every claim against the
-            # element's own IR before engaging (an unsound claim is a
-            # correctness bug, so the build fails rather than degrading).
-            from repro.analyze.purity import assert_pure
-
-            for element in graph.all_elements():
-                if getattr(element, "pure_process", False):
-                    assert_pure(element)
-        self._route_cache: Dict[str, Dict] = {}
         self._hw_base: Dict[str, int] = {}
         self.rx_elements: List[Element] = []
         self.queue_elements: List[Element] = [
@@ -476,7 +447,7 @@ class RouterDriver:
         """
         try:
             compiled = _codegen.compile_program(
-                program, verify=self._codegen_verify, check=self._check_codegen
+                program, verify=self._codegen_verify
             )
         except _codegen.CodegenError:
             _codegen.record_fallback()
@@ -504,16 +475,6 @@ class RouterDriver:
                     # Generated-code tier: one call charges the batch.
                     fn(cpu, batch, state)
                     return
-            if self._interpret:
-                for pkt in batch:
-                    ref = pkt.mbuf
-                    if ref is not None:
-                        execute_interpreted(cpu, program, ref.meta_addr,
-                                            ref.mbuf_addr, ref.cqe_addr,
-                                            ref.data_addr, state)
-                    else:
-                        execute_interpreted(cpu, program, 0, 0, 0, 0, state)
-                return
             for pkt in batch:
                 ref = pkt.mbuf
                 if ref is not None:
@@ -552,22 +513,10 @@ class RouterDriver:
                     return
                 out: Dict[int, List] = {}
                 clones = getattr(element, "clones_packets", False)
-                routes = None
-                if self.fastpath and getattr(element, "pure_process", False):
-                    routes = self._route_cache.get(element.name)
-                    if routes is None:
-                        routes = self._route_cache[element.name] = {}
                 failed_at = None
                 for i, pkt in enumerate(batch):
                     try:
-                        if routes is None:
-                            port = element.process(pkt)
-                        else:
-                            signature = element.route_signature(pkt)
-                            port = routes.get(signature, _NO_ROUTE)
-                            if port is _NO_ROUTE:
-                                port = element.process(pkt)
-                                routes[signature] = port
+                        port = element.process(pkt)
                     except Exception:
                         failed_at = i
                         break

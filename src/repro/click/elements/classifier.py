@@ -23,10 +23,6 @@ class Classifier(Element):
 
     class_name = "Classifier"
 
-    #: process() only reads packet bytes -- eligible for the driver's
-    #: packet-class fast path (route memoized by signature).
-    pure_process = True
-
     def configure(self, args, kwargs):
         if not args:
             raise ElementConfigError("Classifier needs at least one pattern")
@@ -44,12 +40,6 @@ class Classifier(Element):
                     raise ElementConfigError("bad classifier term %r" % term) from None
             self.patterns.append(terms)
         self.n_outputs = len(self.patterns)
-        # The byte span the patterns inspect: packets identical over it
-        # are one class and classify identically.
-        offsets = [o for terms in self.patterns for o, v in terms]
-        ends = [o + len(v) for terms in self.patterns for o, v in terms]
-        self._sig_lo = min(offsets) if offsets else 0
-        self._sig_hi = max(ends) if ends else 0
         for i in range(self.n_outputs):
             self.declare_param("pattern%d" % i, args[i])
 
@@ -64,10 +54,6 @@ class Classifier(Element):
             if matched:
                 return port
         return None
-
-    def route_signature(self, pkt):
-        """The inspected bytes; equal signatures classify identically."""
-        return bytes(pkt.data()[self._sig_lo:self._sig_hi])
 
     def shadowed_outputs(self) -> List[Tuple[int, int]]:
         """(shadower, shadowed) pattern pairs where the earlier pattern
@@ -147,9 +133,6 @@ class IPClassifier(Element):
 
     class_name = "IPClassifier"
 
-    #: Reads only the IPv4 protocol byte; fast-path eligible.
-    pure_process = True
-
     _PROTOS = {"tcp": IP_PROTO_TCP, "udp": IP_PROTO_UDP, "icmp": IP_PROTO_ICMP}
 
     def configure(self, args, kwargs):
@@ -174,10 +157,6 @@ class IPClassifier(Element):
             if rule is None or proto == rule:
                 return port
         return None
-
-    def route_signature(self, pkt):
-        """The protocol byte fully determines the routing decision."""
-        return pkt.ip().proto
 
     def shadowed_outputs(self) -> List[Tuple[int, int]]:
         """(shadower, shadowed) rule pairs: a catch-all (``-``/``ip``)

@@ -73,15 +73,9 @@ class Queue(Element):
 
 @register
 class PaintSwitch(Element):
-    """Route packets by their paint annotation (one output per color).
-
-    Pure routing: ``process`` only reads the paint byte, so the driver's
-    packet-class fast path may memoize the route by that byte (the
-    machine-checked ``pure_process`` contract).
-    """
+    """Route packets by their paint annotation (one output per color)."""
 
     class_name = "PaintSwitch"
-    pure_process = True
 
     def configure(self, args, kwargs):
         self.n_outputs = int(kwargs.get("N", args[0] if args else 2))
@@ -91,10 +85,6 @@ class PaintSwitch(Element):
         if color >= self.n_outputs:
             return None
         return color
-
-    def route_signature(self, pkt):
-        """The paint byte fully determines the route."""
-        return pkt.anno_u8(ANNO_PAINT)
 
     def dispatch_predicates(self):
         """Port ``i`` fires exactly when ``paint_anno == i`` -- so an

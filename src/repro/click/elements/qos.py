@@ -14,8 +14,7 @@ The graph-side half of :mod:`repro.qos`:
   never build; a rated queue is the congestion point that makes
   oversubscription and incast observable.
 - :class:`PrioritySwitch` routes by 802.1p priority (the PCP bits of the
-  VLAN TCI) and :class:`LengthSwitch` by frame length; both are pure
-  routing elements under the machine-checked ``pure_process`` contract.
+  VLAN TCI) and :class:`LengthSwitch` by frame length.
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ class PrioritySwitch(Element):
     """
 
     class_name = "PrioritySwitch"
-    pure_process = True
 
     def configure(self, args, kwargs):
         self.n_outputs = int(kwargs.get("N", args[0] if args else 2))
@@ -137,10 +135,6 @@ class PrioritySwitch(Element):
         if prio >= self.n_outputs:
             return None
         return prio
-
-    def route_signature(self, pkt):
-        """The PCP bits fully determine the route."""
-        return (pkt.vlan_tci >> PCP_SHIFT) & PCP_MASK
 
     def ir_program(self) -> Program:
         return Program(
@@ -163,7 +157,6 @@ class LengthSwitch(Element):
     """
 
     class_name = "LengthSwitch"
-    pure_process = True
     n_outputs = 2
 
     def configure(self, args, kwargs):
@@ -175,10 +168,6 @@ class LengthSwitch(Element):
 
     def process(self, pkt):
         return 0 if pkt.length <= self._threshold else 1
-
-    def route_signature(self, pkt):
-        """Which side of the threshold the frame falls on."""
-        return pkt.length <= self._threshold
 
     def dispatch_predicates(self):
         """Interval conditions on the ``length`` field: a proven upstream

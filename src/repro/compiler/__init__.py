@@ -12,9 +12,9 @@ field a byte offset, so the LTO field-reordering pass has its real effect:
 hot fields migrate into the first cache line and fewer lines are loaded
 per packet.
 
-Execution happens through one of three bit-identical tiers behind the
-:class:`~repro.compiler.runtime.ExecutionTier` API: the lowered-op
-interpreter, the cached op-tuple loop, or per-program generated Python
+Execution happens through one of two bit-identical tiers behind the
+:class:`~repro.compiler.runtime.ExecutionTier` API: the cached op-tuple
+loop (the default), or per-program generated Python
 (:mod:`repro.compiler.codegen`) with constants and offsets baked in --
 the runtime analogue of the paper's source-code specialization.
 """
@@ -22,7 +22,6 @@ the runtime analogue of the paper's source-code specialization.
 from repro.compiler.runtime import (
     DEFAULT_TIER,
     ExecutionTier,
-    TierPolicy,
     TierSelection,
     select_tier,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "RandomAccess",
     "StateAccess",
     "StructLayout",
-    "TierPolicy",
     "TierSelection",
     "VirtualCall",
     "select_tier",

@@ -1,9 +1,8 @@
 """Trace-compilation of lowered programs into generated Python.
 
-This is the third (and fastest) execution tier.  PR 4's
-:func:`~repro.compiler.runtime.execute_bases` replaced per-packet
-``Bindings`` dict walks with an interpreter over per-program op tuples;
-this module goes the rest of the way and *compiles* each
+This is the second execution tier.  The default tier,
+:func:`~repro.compiler.runtime.execute_bases`, loops over each program's
+cached op tuples; this module goes the rest of the way and *compiles* each
 :class:`~repro.compiler.lower.ExecProgram` into specialized Python
 source -- the simulator's analogue of the paper's source-level code
 specialization:
@@ -27,12 +26,13 @@ Each program yields two functions via ``compile()``/``exec``:
   driver's ``_charge_element`` calls it once per batch) -- the
   batch-vectorized variant for element chains.
 
-Both kernels charge the exact same sequence of costs as the interpreter
-tiers; the inlined arithmetic reproduces :class:`~repro.hw.cpu.CpuCore`'s
-own expressions term for term, so the simulated numbers are bit-identical.
-A compile-time **self-check** (on by default, ``REPRO_TIER_CHECK=0`` to
-skip) replays every freshly generated kernel and the interpreter against
-shadow cores and refuses the artifact unless their states match exactly.
+Both kernels charge the exact same sequence of costs as the reference
+walk :func:`~repro.compiler.runtime.execute_interpreted`; the inlined
+arithmetic reproduces :class:`~repro.hw.cpu.CpuCore`'s own expressions
+term for term, so the simulated numbers are bit-identical.  A
+compile-time **self-check** replays every freshly generated kernel and the
+reference walk against shadow cores and refuses the artifact unless their
+states match exactly.
 
 The caller may pass a ``verify`` hook (the PR 5 IR verifier, injected by
 ``repro.core`` so this layer stays below ``repro.analyze``); it runs
@@ -45,7 +45,6 @@ handler brokers as ``exec.codegen.*``.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -96,14 +95,6 @@ def stats() -> dict:
 
 def reset_stats() -> None:
     REGISTRY.reset()
-
-
-def _check_enabled(check: Optional[bool]) -> bool:
-    if check is not None:
-        return check
-    return os.environ.get("REPRO_TIER_CHECK", "").lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 # -- source emission -----------------------------------------------------------
@@ -317,12 +308,12 @@ def _shadow_state(cpu) -> tuple:
 
 
 def _selfcheck(program: ExecProgram, scalar: Callable, batch: Callable) -> None:
-    """Replay generated vs. interpreted charges on shadow cores.
+    """Replay generated vs. reference charges on shadow cores.
 
     Uses the *real* :class:`~repro.hw.cpu.CpuCore` arithmetic over a stub
-    memory hierarchy, so any drift between the emitted source and the
-    interpreter -- including float-identity assumptions -- fails the
-    compile instead of skewing a measurement.
+    memory hierarchy, so any drift between the emitted source and
+    :func:`execute_interpreted` -- including float-identity assumptions --
+    fails the compile instead of skewing a measurement.
     """
     _SELFCHECKS.add(1)
     meta, mbuf, descriptor, data, state = _SHADOW_BASES
@@ -332,7 +323,7 @@ def _selfcheck(program: ExecProgram, scalar: Callable, batch: Callable) -> None:
     scalar(generated, meta, mbuf, descriptor, data, state)
     if _shadow_state(reference) != _shadow_state(generated):
         raise CodegenError(
-            "scalar kernel for %r diverges from the interpreter: %r != %r"
+            "scalar kernel for %r diverges from the reference: %r != %r"
             % (program.name, _shadow_state(generated), _shadow_state(reference))
         )
     shadow_batch = [
@@ -353,7 +344,7 @@ def _selfcheck(program: ExecProgram, scalar: Callable, batch: Callable) -> None:
     batch(generated, shadow_batch, state)
     if _shadow_state(reference) != _shadow_state(generated):
         raise CodegenError(
-            "batch kernel for %r diverges from the interpreter: %r != %r"
+            "batch kernel for %r diverges from the reference: %r != %r"
             % (program.name, _shadow_state(generated), _shadow_state(reference))
         )
 
@@ -382,7 +373,6 @@ def _mangle(name: str) -> str:
 def compile_program(
     program: ExecProgram,
     verify: Optional[Callable[[ExecProgram], None]] = None,
-    check: Optional[bool] = None,
     facts=None,
 ) -> CompiledProgram:
     """Generate, ``exec``, self-check, and memoize ``program``'s kernels.
@@ -394,9 +384,9 @@ def compile_program(
 
     ``facts`` (a :class:`~repro.compiler.facts.ProgramFacts`) dead-code
     eliminates the proven-dead slice before generation: the kernels are
-    compiled -- and self-checked against the interpreter -- on the pruned
-    program, so bit-identity with the other tiers holds exactly when
-    those tiers execute the same pruned program.  Facts-on and facts-off
+    compiled -- and self-checked against the reference walk -- on the
+    pruned program, so bit-identity with the compiled tier holds exactly
+    when it executes the same pruned program.  Facts-on and facts-off
     artifacts memoize separately; a facts mismatch raises CodegenError
     (callers demote, never silently run the unpruned kernel).
     """
@@ -414,7 +404,7 @@ def compile_program(
             raise CodegenError(
                 "facts do not apply to %r: %s" % (program.name, exc)
             ) from exc
-        compiled = compile_program(pruned, verify=verify, check=check)
+        compiled = compile_program(pruned, verify=verify)
         memo_map[facts] = compiled
         _FACTS_APPLIED.add(1)
         _FACTS_BRANCHES.add(facts.branches_eliminated)
@@ -446,8 +436,7 @@ def compile_program(
         raise CodegenError(
             "failed to generate code for %r: %s" % (program.name, exc)
         ) from exc
-    if _check_enabled(check):
-        _selfcheck(program, scalar, batch)
+    _selfcheck(program, scalar, batch)
     compiled = CompiledProgram(
         name=program.name,
         scalar=scalar,

@@ -14,10 +14,9 @@ proven; it only knows how to
 - compute the delta between an original and a specialized lowering
   (:func:`facts_between`), and
 - replay it onto a program (:meth:`ProgramFacts.apply`), producing the
-  pruned ExecProgram every tier then runs -- the interpreter stays the
-  ground truth because all three tiers execute the *same* pruned
-  program, and codegen's compile-time self-check replays generated
-  kernels against the interpreter on exactly that program.
+  pruned ExecProgram every tier then runs -- both tiers execute the
+  *same* pruned program, and codegen's compile-time self-check replays
+  generated kernels against the reference walk on exactly that program.
 
 Layering: ``repro.compiler`` sits below ``repro.analyze``; the analyzer
 imports this module, never the other way around.  The dataclass is

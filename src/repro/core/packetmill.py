@@ -33,7 +33,7 @@ from repro.click.graph import ProcessingGraph
 from repro.compiler import codegen as _codegen
 from repro.compiler.lower import lower
 from repro.compiler.passes import reorder_metadata
-from repro.compiler.runtime import ExecutionTier, as_policy, select_tier
+from repro.compiler.runtime import ExecutionTier, as_tier, select_tier
 from repro.compiler.structlayout import LayoutRegistry
 from repro.core.binary import SpecializedBinary
 from repro.core.options import BuildOptions, MetadataModel
@@ -116,10 +116,10 @@ class PacketMill:
         self.burst = profile.burst or self.options.burst
         self.faults = profile.faults
         self.watchdog_threshold = profile.watchdog_threshold
-        # Execution-tier policy (None defers to REPRO_TIER / defaults);
+        # Requested execution tier (None defers to REPRO_TIER / default);
         # resolved per core at build time, when the instrumentation that
-        # can demote a tier (faults, watchdog, telemetry) is known.
-        self.tier_policy = as_policy(profile.tier)
+        # can demote a tier (faults, watchdog) is known.
+        self.tier = as_tier(profile.tier)
         # RSS sharding: n_cores > 1 makes build_runtime() return an
         # N-replica ShardedRuntime; rss carries the steering knobs.
         self.n_cores = profile.n_cores
@@ -465,10 +465,10 @@ class PacketMill:
         # -- constant-propagation facts (opt-in dead-code elimination) --------
         # Facts are minted against the build's own pass pipeline and the
         # FINAL registry (reordered or not), so specialized programs lower
-        # to the exact offsets the originals did.  Every tier -- the
-        # interpreter included -- runs the same pruned programs, keeping
-        # cross-tier bit-identity; the original exec_programs stay cached
-        # and untouched (facts.apply returns new programs).
+        # to the exact offsets the originals did.  Both tiers run the same
+        # pruned programs, keeping cross-tier bit-identity; the original
+        # exec_programs stay cached and untouched (facts.apply returns new
+        # programs).
         program_facts = None
         run_programs = exec_programs
         if self._facts_mode:
@@ -510,10 +510,9 @@ class PacketMill:
 
         # -- execution tier (resolved ONCE; PMDs and driver share it) ----------
         selection = select_tier(
-            self.tier_policy,
+            self.tier,
             faults=injector is not None,
             watchdog=watchdog is not None,
-            telemetry=telemetry.enabled,
         )
         codegen_verify = None
         codegen_map = None
@@ -525,20 +524,18 @@ class PacketMill:
                 try:
                     # The facts kwarg is passed only for elements that
                     # actually have facts: codegen prunes, compiles, and
-                    # self-checks those against the interpreter on the
+                    # self-checks those against the reference walk on the
                     # pruned program -- the same program the driver runs.
                     codegen_map = {}
                     for name, program in exec_programs.items():
                         pf = (program_facts or {}).get(name)
                         if pf is not None:
                             codegen_map[name] = _codegen.compile_program(
-                                program, verify=codegen_verify,
-                                check=selection.check, facts=pf,
+                                program, verify=codegen_verify, facts=pf,
                             )
                         else:
                             codegen_map[name] = _codegen.compile_program(
                                 program, verify=codegen_verify,
-                                check=selection.check,
                             )
                 except _codegen.CodegenError:
                     # One unverifiable element demotes the whole build:

@@ -19,7 +19,6 @@ from repro.compiler.runtime import (
     ExecutionTier,
     TierSelection,
     execute_bases,
-    execute_interpreted,
     select_tier,
 )
 from repro.compiler.structlayout import LayoutRegistry
@@ -79,20 +78,15 @@ class MlxPmd:
                 tier, faults=getattr(nic, "faults", None) is not None
             )
         self.tier = selection.tier
-        self._interpret = selection.tier is ExecutionTier.INTERPRETER
         # Generated scalar kernels for the RX/TX conversion programs; a
         # compile failure falls back to the compiled op-tuple tier.
         self._rx_fn = self._tx_fn = None
         if selection.tier is ExecutionTier.CODEGEN:
             try:
                 self._rx_fn = _codegen.compile_program(
-                    self.rx_exec, verify=codegen_verify,
-                    check=selection.check,
-                ).scalar
+                    self.rx_exec, verify=codegen_verify).scalar
                 self._tx_fn = _codegen.compile_program(
-                    self.tx_exec, verify=codegen_verify,
-                    check=selection.check,
-                ).scalar
+                    self.tx_exec, verify=codegen_verify).scalar
             except _codegen.CodegenError:
                 _codegen.record_fallback()
                 self._rx_fn = self._tx_fn = None
@@ -132,7 +126,6 @@ class MlxPmd:
             spans.push("convert")
         out: List[Packet] = []
         rx_fn = self._rx_fn
-        interpret = self._interpret
         for ref, pkt in delivered:
             if pkt.rx_error is not None:
                 # Hardware offload validation: damaged frames are flagged
@@ -163,10 +156,6 @@ class MlxPmd:
             if rx_fn is not None:
                 rx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, ref.cqe_addr,
                       ref.data_addr, 0)
-            elif interpret:
-                execute_interpreted(self.cpu, self.rx_exec, ref.meta_addr,
-                                    ref.mbuf_addr, ref.cqe_addr,
-                                    ref.data_addr, 0)
             else:
                 execute_bases(self.cpu, self.rx_exec, ref.meta_addr,
                               ref.mbuf_addr, ref.cqe_addr, ref.data_addr, 0)
@@ -189,7 +178,6 @@ class MlxPmd:
         injector = self.nic.faults
         blocked = injector is not None and injector.tx_blocked(self.nic.port)
         tx_fn = self._tx_fn
-        interpret = self._interpret
         sent = 0
         for pkt in packets:
             ref = pkt.mbuf
@@ -204,9 +192,6 @@ class MlxPmd:
             if tx_fn is not None:
                 tx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, wqe_addr,
                       ref.data_addr, 0)
-            elif interpret:
-                execute_interpreted(self.cpu, self.tx_exec, ref.meta_addr,
-                                    ref.mbuf_addr, wqe_addr, ref.data_addr, 0)
             else:
                 execute_bases(self.cpu, self.tx_exec, ref.meta_addr,
                               ref.mbuf_addr, wqe_addr, ref.data_addr, 0)

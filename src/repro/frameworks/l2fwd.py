@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.compiler.ir import BranchHint, Compute, DataAccess, Program
 from repro.compiler.lower import lower
 from repro.compiler.structlayout import LayoutRegistry
-from repro.compiler.runtime import Bindings, execute
+from repro.compiler.runtime import execute_bases
 from repro.core.binary import MeasuredRun
 from repro.dpdk.metadata import OverlayingModel, XChangeModel
 from repro.dpdk.nic import Nic
@@ -67,15 +67,8 @@ class L2fwdBinary:
         pkts = self.pmd.rx_burst(self.burst)
         for pkt in pkts:
             ref = pkt.mbuf
-            execute(
-                self.cpu,
-                self._app,
-                Bindings(
-                    packet_meta=ref.meta_addr,
-                    packet_mbuf=ref.mbuf_addr,
-                    data=ref.data_addr,
-                ),
-            )
+            execute_bases(self.cpu, self._app, ref.meta_addr, ref.mbuf_addr,
+                          0, ref.data_addr, 0)
             pkt.ether().swap_addresses()
         sent = self.pmd.tx_burst(pkts)
         self._rx_packets += len(pkts)

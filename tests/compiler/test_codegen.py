@@ -67,7 +67,7 @@ def test_generated_kernels_match_both_interpreters(program):
     """The property behind the tier API: every random program charges the
     exact same state through generated code, the op-tuple loop, and the
     MemOp interpreter."""
-    compiled = codegen.compile_program(program, check=False)
+    compiled = codegen.compile_program(program)
     meta, mbuf, descriptor, data, state = codegen._SHADOW_BASES
 
     reference = _states(program, lambda cpu: execute_interpreted(
@@ -122,8 +122,8 @@ def test_zero_charges_are_dead_code_eliminated():
 def test_compile_is_memoized_per_program():
     codegen.reset_stats()
     program = ExecProgram(name="memo", instructions=5.0)
-    first = codegen.compile_program(program, check=False)
-    second = codegen.compile_program(program, check=False)
+    first = codegen.compile_program(program)
+    second = codegen.compile_program(program)
     assert first is second
     assert codegen.stats()["compiles"] == 1
     assert codegen.stats()["memo_hits"] == 1
@@ -139,7 +139,7 @@ def test_selfcheck_refuses_a_wrong_kernel(monkeypatch):
     monkeypatch.setattr(codegen, "generate_scalar_source", tampered)
     program = ExecProgram(name="tampered", instructions=37.0)
     with pytest.raises(codegen.CodegenError):
-        codegen.compile_program(program, check=True)
+        codegen.compile_program(program)
     assert "_codegen_compiled" not in program.__dict__
 
 
@@ -151,12 +151,12 @@ def test_verify_hook_failure_surfaces_as_codegen_error():
 
     program = ExecProgram(name="refused", instructions=1.0)
     with pytest.raises(codegen.CodegenError, match="offset out of range"):
-        codegen.compile_program(program, verify=refuse, check=False)
+        codegen.compile_program(program, verify=refuse)
 
 
 def test_verify_hook_runs_before_generation():
     calls = []
     program = ExecProgram(name="verified", instructions=1.0)
     codegen.compile_program(
-        program, verify=lambda p: calls.append(p.name), check=True)
+        program, verify=lambda p: calls.append(p.name))
     assert calls == ["verified"]

@@ -1,5 +1,9 @@
 """Integration tests for the PacketMill build pipeline (paper Fig. 3)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import nfs
@@ -23,6 +27,25 @@ class TestBuild:
         assert run.packets == 640
         assert run.elapsed_ns > 0
         assert run.ipc > 0
+
+    def test_default_build_does_not_import_the_analyzer(self):
+        # Static analysis is opt-in (analyze=/REPRO_ANALYZE); a plain
+        # build must not pay for importing it.
+        script = (
+            "import sys\n"
+            "from repro.core import nfs\n"
+            "from repro.core.options import BuildOptions\n"
+            "from repro.core.packetmill import PacketMill\n"
+            "PacketMill(nfs.forwarder(), BuildOptions.packetmill()).build()\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'analyze']))\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_static_graph_allocates_static_state(self):
         binary = mill(options=BuildOptions.static()).build()

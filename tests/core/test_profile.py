@@ -1,6 +1,6 @@
 """RunProfile: the consolidated config object behind PacketMill kwargs."""
 
-from repro.compiler.runtime import ExecutionTier, TierPolicy
+from repro.compiler.runtime import ExecutionTier
 from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
@@ -17,7 +17,7 @@ def test_defaults_match_packetmill_defaults():
     assert via_profile.options == via_kwargs.options
     assert via_profile.params == via_kwargs.params
     assert via_profile.burst == via_kwargs.burst
-    assert via_profile.tier_policy == via_kwargs.tier_policy
+    assert via_profile.tier is via_kwargs.tier is None
 
 
 def test_kwargs_shim_builds_the_same_profile():
@@ -46,9 +46,9 @@ def test_from_profile_measures_identically_to_kwargs():
 
 def test_with_overrides_is_a_functional_update():
     base = RunProfile(options=BuildOptions.packetmill(), seed=1)
-    swept = base.with_overrides(seed=2, tier="interpreter")
+    swept = base.with_overrides(seed=2, tier="codegen")
     assert base.seed == 1 and base.tier is None
-    assert swept.seed == 2 and swept.tier == "interpreter"
+    assert swept.seed == 2 and swept.tier == "codegen"
     assert swept.options == base.options
 
 
@@ -60,7 +60,7 @@ def test_describe_lists_only_non_defaults():
 
 
 def test_tier_field_accepts_enum_and_policy():
-    for tier in (ExecutionTier.CODEGEN, "codegen",
-                 TierPolicy(tier="codegen", route_memo=False)):
+    # The tier is a plain value: the enum or its spelling.
+    for tier in (ExecutionTier.CODEGEN, "codegen", "CODEGEN"):
         mill = PacketMill.from_profile(router(), RunProfile(tier=tier))
-        assert mill.tier_policy.tier in ("codegen", ExecutionTier.CODEGEN)
+        assert mill.tier is ExecutionTier.CODEGEN

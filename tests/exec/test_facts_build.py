@@ -11,7 +11,7 @@ from repro.exec import cache as exec_cache
 from repro.hw.params import MachineParams
 from repro.perf.runner import measure_throughput
 
-TIERS = ("interpreter", "compiled", "codegen")
+TIERS = ("compiled", "codegen")
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +56,7 @@ def test_three_tiers_are_byte_identical_facts_on_and_off():
         for facts in (False, True):
             exec_cache.reset_caches()
             points[(tier, facts)] = _measure(_build(tier=tier, facts=facts))
-    baseline = points[("interpreter", False)]
+    baseline = points[("compiled", False)]
     for key, point in points.items():
         run = point.run
         base = baseline.run

@@ -1,17 +1,9 @@
 """The ExecutionTier API: selection, bit-identity, fallback, counters."""
 
-import warnings
-
 import pytest
 
 from repro.compiler import codegen
-from repro.compiler import runtime
-from repro.compiler.runtime import (
-    DEFAULT_TIER,
-    ExecutionTier,
-    TierPolicy,
-    select_tier,
-)
+from repro.compiler.runtime import DEFAULT_TIER, ExecutionTier, select_tier
 from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
@@ -27,9 +19,7 @@ from repro.perf.runner import measure_throughput
 def fresh_state(monkeypatch):
     # Selection tests assert the built-in defaults; scrub any ambient
     # tier configuration (e.g. a REPRO_TIER=codegen CI matrix run).
-    for var in ("REPRO_TIER", "REPRO_TIER_CHECK", "REPRO_ROUTE_MEMO",
-                "REPRO_FASTPATH"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_TIER", raising=False)
     exec_cache.reset_caches()
     codegen.reset_stats()
     yield
@@ -59,19 +49,25 @@ def test_default_tier_is_compiled():
 def test_env_requests_a_tier(monkeypatch):
     monkeypatch.setenv("REPRO_TIER", "codegen")
     assert select_tier().tier is ExecutionTier.CODEGEN
-    monkeypatch.setenv("REPRO_TIER", "interpreter")
-    assert select_tier().tier is ExecutionTier.INTERPRETER
+    monkeypatch.setenv("REPRO_TIER", "compiled")
+    assert select_tier().tier is ExecutionTier.COMPILED
 
 
 def test_policy_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TIER", "interpreter")
-    selection = select_tier(TierPolicy(tier="codegen"))
+    monkeypatch.setenv("REPRO_TIER", "compiled")
+    selection = select_tier("codegen")
     assert selection.tier is ExecutionTier.CODEGEN
 
 
-def test_unknown_tier_spelling_is_rejected():
-    with pytest.raises(ValueError, match="unknown execution tier"):
-        select_tier("jit")
+def test_unknown_tier_spelling_is_rejected(monkeypatch):
+    # "interpreter" is a retired tier spelling; it fails like any other.
+    for spelling in ("jit", "interpreter"):
+        with pytest.raises(ValueError, match="unknown execution tier"):
+            select_tier(spelling)
+        monkeypatch.setenv("REPRO_TIER", spelling)
+        with pytest.raises(ValueError, match="unknown execution tier"):
+            select_tier()
+        monkeypatch.delenv("REPRO_TIER")
 
 
 def test_codegen_demotes_under_faults_and_watchdog():
@@ -81,31 +77,6 @@ def test_codegen_demotes_under_faults_and_watchdog():
         assert selection.demoted
         assert selection.requested is ExecutionTier.CODEGEN
         assert selection.reason
-
-
-def test_route_memo_parks_under_any_instrumentation():
-    assert select_tier().route_memo
-    for kwargs in ({"faults": True}, {"watchdog": True}, {"telemetry": True}):
-        assert not select_tier(**kwargs).route_memo
-
-
-def test_fastpath_env_still_works_with_one_time_warning(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    monkeypatch.setattr(runtime, "_fastpath_env_warned", False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert not select_tier().route_memo
-        assert not select_tier().route_memo
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "REPRO_ROUTE_MEMO" in str(deprecations[0].message)
-
-
-def test_route_memo_env_shadows_deprecated_alias(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    monkeypatch.setenv("REPRO_ROUTE_MEMO", "0")
-    assert not select_tier().route_memo
 
 
 # -- bit-identity across tiers ------------------------------------------------
@@ -121,10 +92,10 @@ def test_run_stats_identical_across_all_tiers():
         points[tier] = measure_throughput(
             binary, batches=60, warmup_batches=30)
         snapshots[tier] = binary.driver.stats.snapshot()
-    reference = snapshots[ExecutionTier.INTERPRETER]
+    reference = snapshots[ExecutionTier.COMPILED]
     for tier in ExecutionTier:
         assert snapshots[tier] == reference, tier
-        assert points[tier] == points[ExecutionTier.INTERPRETER], tier
+        assert points[tier] == points[ExecutionTier.COMPILED], tier
 
 
 def test_pmds_share_the_drivers_tier():
@@ -150,7 +121,7 @@ def test_codegen_falls_back_under_a_fault_schedule():
 
 
 def test_compile_failure_demotes_the_whole_build(monkeypatch):
-    def broken(program, verify=None, check=None):
+    def broken(program, verify=None):
         raise codegen.CodegenError("boom")
 
     monkeypatch.setattr(codegen, "compile_program", broken)
