@@ -20,18 +20,18 @@ class CuckooFullError(RuntimeError):
 
 
 class CuckooHashTable:
-    """Open-addressed cuckoo hash with two buckets of four slots per key."""
+    """Open-addressed cuckoo hash with two buckets of four slots per key.
+
+    Slots live in two flat lists: bucket ``b`` owns ``[4b, 4b + 4)`` of
+    ``_keys`` and ``_values``.
+    """
 
     def __init__(self, n_buckets: int = 16384):
         if n_buckets < 2 or n_buckets & (n_buckets - 1):
             raise ValueError("bucket count must be a power of two >= 2")
         self.n_buckets = n_buckets
-        self._keys: List[List[Optional[Any]]] = [
-            [None] * BUCKET_SLOTS for _ in range(n_buckets)
-        ]
-        self._values: List[List[Any]] = [
-            [None] * BUCKET_SLOTS for _ in range(n_buckets)
-        ]
+        self._keys: List[Optional[Any]] = [None] * (n_buckets * BUCKET_SLOTS)
+        self._values: List[Any] = [None] * (n_buckets * BUCKET_SLOTS)
         self.entries = 0
 
     # -- hashing -------------------------------------------------------------
@@ -48,67 +48,66 @@ class CuckooHashTable:
         h1 = self._hash1(key)
         return self._hash2(key) if bucket == h1 else h1
 
+    def _find(self, key) -> int:
+        """The slot index holding ``key``, or -1.  At most two buckets read."""
+        keys = self._keys
+        for bucket in (self._hash1(key), self._hash2(key)):
+            base = bucket * BUCKET_SLOTS
+            for i in range(base, base + BUCKET_SLOTS):
+                if keys[i] == key:
+                    return i
+        return -1
+
     # -- operations ------------------------------------------------------------
 
     def lookup(self, key) -> Optional[Any]:
-        """Return the value for ``key`` or None.  At most two buckets read."""
-        for bucket in (self._hash1(key), self._hash2(key)):
-            slots = self._keys[bucket]
-            for i in range(BUCKET_SLOTS):
-                if slots[i] == key:
-                    return self._values[bucket][i]
-        return None
+        """Return the value for ``key`` or None."""
+        i = self._find(key)
+        return None if i < 0 else self._values[i]
 
     def __contains__(self, key) -> bool:
         return self.lookup(key) is not None
 
     def insert(self, key, value) -> None:
         """Insert or update; displaces entries cuckoo-style when full."""
-        # Update in place if present.
-        for bucket in (self._hash1(key), self._hash2(key)):
-            slots = self._keys[bucket]
-            for i in range(BUCKET_SLOTS):
-                if slots[i] == key:
-                    self._values[bucket][i] = value
-                    return
+        keys, values = self._keys, self._values
+        i = self._find(key)
+        if i >= 0:
+            values[i] = value
+            return
         bucket = self._hash1(key)
         for attempt in range(MAX_DISPLACEMENTS):
-            slots = self._keys[bucket]
-            for i in range(BUCKET_SLOTS):
-                if slots[i] is None:
-                    slots[i] = key
-                    self._values[bucket][i] = value
+            base = bucket * BUCKET_SLOTS
+            for i in range(base, base + BUCKET_SLOTS):
+                if keys[i] is None:
+                    keys[i] = key
+                    values[i] = value
                     self.entries += 1
                     return
             # Bucket full: displace one occupant to its alternate bucket
             # and retry there.  The victim slot rotates with the kick
             # depth -- always evicting slot 0 lets a chain cycle between
             # the same two buckets and strands reachable capacity.
-            victim = attempt % BUCKET_SLOTS
-            victim_key = slots[victim]
-            victim_value = self._values[bucket][victim]
-            slots[victim] = key
-            self._values[bucket][victim] = value
-            key, value = victim_key, victim_value
+            victim = base + attempt % BUCKET_SLOTS
+            key, keys[victim] = keys[victim], key
+            value, values[victim] = values[victim], value
             bucket = self._alt_bucket(key, bucket)
         raise CuckooFullError("cuckoo displacement budget exhausted")
 
     def delete(self, key) -> bool:
-        for bucket in (self._hash1(key), self._hash2(key)):
-            slots = self._keys[bucket]
-            for i in range(BUCKET_SLOTS):
-                if slots[i] == key:
-                    slots[i] = None
-                    self._values[bucket][i] = None
-                    self.entries -= 1
-                    return True
-        return False
+        i = self._find(key)
+        if i < 0:
+            return False
+        self._keys[i] = None
+        self._values[i] = None
+        self.entries -= 1
+        return True
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
-        for bucket in range(self.n_buckets):
-            for i in range(BUCKET_SLOTS):
-                if self._keys[bucket][i] is not None:
-                    yield self._keys[bucket][i], self._values[bucket][i]
+        values = self._values
+        for i, key in enumerate(self._keys):
+            if key is not None:
+                yield key, values[i]
 
     @property
     def capacity(self) -> int:

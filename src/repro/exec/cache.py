@@ -51,7 +51,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Tuple
 
 from repro.net.flows import FlowSet
-from repro.net.trace import CampusTraceGenerator, FixedSizeTraceGenerator, TraceSpec
+from repro.net.trace import _ZIPF_CDFS, CampusTraceGenerator, FixedSizeTraceGenerator, TraceSpec
 from repro.telemetry.registry import CounterRegistry
 
 #: Process-wide cache statistics (``exec.cache.*`` through handler brokers).
@@ -274,6 +274,7 @@ def reset_caches() -> None:
     _build_cache.clear()
     _codegen_cache.clear()
     _point_cache.clear()
+    _ZIPF_CDFS.clear()
     REGISTRY.reset()
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from repro.net.addresses import IPv4Address
 from repro.net.rss import toeplitz_v4
@@ -94,11 +96,7 @@ class FlowSet:
         # Precompute a Zipf CDF over flow ranks for O(log n) sampling.
         harmonics = [1.0 / ((rank + 1) ** zipf_s) for rank in range(count)]
         total = sum(harmonics)
-        self._cdf = []
-        acc = 0.0
-        for h in harmonics:
-            acc += h / total
-            self._cdf.append(acc)
+        self._cdf = list(accumulate(h / total for h in harmonics))
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -111,12 +109,5 @@ class FlowSet:
 
     def pick(self) -> FlowSpec:
         """Sample one flow according to the Zipf popularity."""
-        u = self._rng.random()
-        lo, hi = 0, len(self._cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._flows[lo]
+        cdf = self._cdf
+        return self._flows[bisect_left(cdf, self._rng.random(), 0, len(cdf) - 1)]

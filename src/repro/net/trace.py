@@ -16,11 +16,13 @@ trace packets 25 times.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence
+from itertools import accumulate, repeat
+from operator import truediv
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.flows import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FlowSet, FlowSpec
@@ -321,6 +323,29 @@ def _mix32(x: int) -> int:
     return x
 
 
+#: One immutable CDF per ``(n_flows, zipf_s)``: a shared table, not a
+#: cache of results, so it has no gate.  ``repro.exec.cache.reset_caches()``
+#: clears it, so a timed cold build builds its CDF again.
+_ZIPF_CDFS: Dict[Tuple[int, float], array] = {}
+
+
+def zipf_cdf(n_flows: int, zipf_s: float) -> array:
+    """The Zipf(``zipf_s``) CDF over ranks ``0..n_flows-1``, 8 bytes per rank.
+
+    Shared by every caller with the same key; never mutate it.  The float
+    operations and their order are those of ``(rank + 1) ** -s``, ``sum``
+    and a running sum of ``w / total``, so every entry is bit-exact.
+    """
+    key = (n_flows, zipf_s)
+    cdf = _ZIPF_CDFS.get(key)
+    if cdf is None:
+        weights = array("d", map(pow, range(1, n_flows + 1), repeat(-zipf_s)))
+        total = sum(weights)
+        cdf = array("d", accumulate(map(truediv, weights, repeat(total))))
+        _ZIPF_CDFS[key] = cdf
+    return cdf
+
+
 class _LazyFlowView:
     """Sequence facade over a :class:`SkewedTraceGenerator`'s flow space."""
 
@@ -341,9 +366,11 @@ class SkewedTraceGenerator:
 
     The "millions of users" workload: the flow population is *lazy* -- a
     flow is a pure function of ``(seed, rank)``, so a million-flow (or
-    billion-flow) population costs nothing to stand up and pickles as
-    three integers.  Popularity is either uniform (``zipf_s=None``) or
-    Zipf(s) over ranks, where small ranks are the elephants: at
+    billion-flow) population costs nothing to stand up.  Popularity is
+    either uniform (``zipf_s=None``) or Zipf(s) over ranks, sampled from
+    the :func:`zipf_cdf` table shared by every generator with the same
+    ``(n_flows, zipf_s)`` (8 bytes per rank; a pickled generator carries
+    its own copy).  Small ranks are the elephants: at
     ``zipf_s=1.1`` over a million flows the top flow alone carries ~7% of
     packets, which is exactly the load RSS cannot spread (every packet of
     a flow must stay on one queue) and what the ``rss_imbalance``
@@ -392,11 +419,8 @@ class SkewedTraceGenerator:
         self._dst_base = IPv4Address(dst_subnet).value
         self._rng = random.Random(seed)
         self._seq = 0
-        self._cdf: Optional[List[float]] = None
-        if zipf_s is not None:
-            weights = [(rank + 1) ** -zipf_s for rank in range(n_flows)]
-            total = sum(weights)
-            self._cdf = list(accumulate(w / total for w in weights))
+        self._cdf: Optional[array] = (
+            None if zipf_s is None else zipf_cdf(n_flows, zipf_s))
 
     def flow_at(self, rank: int) -> FlowSpec:
         """The flow at popularity rank ``rank`` (pure in seed and rank)."""

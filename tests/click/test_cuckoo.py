@@ -9,6 +9,7 @@ from repro.click.elements.cuckoo import (
     CuckooFullError,
     CuckooHashTable,
 )
+from tests.click import reference_cuckoo
 
 
 class TestBasics:
@@ -104,3 +105,79 @@ class TestModelBased:
             assert table.entries == len(model)
         for key, value in model.items():
             assert table.lookup(key) == value
+
+
+def _apply(table, full_error, op, key, value):
+    """One operation's observable outcome: its return value or the error."""
+    try:
+        if op == "insert":
+            return table.insert(key, value)
+        if op == "delete":
+            return table.delete(key)
+        return table.lookup(key)
+    except full_error:
+        return "full"
+
+
+def _assert_same_state(flat, ref):
+    assert flat.entries == ref.entries
+    assert list(flat.items()) == list(ref.items())
+
+
+_KEYS = st.one_of(
+    st.integers(min_value=-64, max_value=160),
+    st.tuples(st.integers(min_value=0, max_value=40),
+              st.integers(min_value=0, max_value=3)),
+)
+
+
+class TestFlatSlotsDifferential:
+    """The flat slot lists behave exactly like the nested per-bucket table.
+
+    Small tables (2-16 buckets) make displacement chains and
+    ``CuckooFullError`` common, so victim choice and failure timing are
+    compared, not just dict semantics.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 4, 8, 16]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "update", "delete", "lookup"]),
+                _KEYS,
+            ),
+            max_size=250,
+        ),
+    )
+    def test_matches_nested_reference(self, n_buckets, operations):
+        flat = CuckooHashTable(n_buckets=n_buckets)
+        ref = reference_cuckoo.CuckooHashTable(n_buckets=n_buckets)
+        inserted = []
+        for step, (op, key) in enumerate(operations):
+            if op == "update":
+                # Re-insert a key seen before, under a new value.
+                op = "insert"
+                key = inserted[step % len(inserted)] if inserted else key
+            if op == "insert":
+                inserted.append(key)
+            got = _apply(flat, CuckooFullError, op, key, step)
+            want = _apply(ref, reference_cuckoo.CuckooFullError, op, key, step)
+            assert got == want, (step, op, key)
+            assert flat.entries == ref.entries
+        _assert_same_state(flat, ref)
+
+    @pytest.mark.parametrize("n_buckets", [2, 4, 8, 16])
+    def test_full_error_at_the_same_insert(self, n_buckets):
+        flat = CuckooHashTable(n_buckets=n_buckets)
+        ref = reference_cuckoo.CuckooHashTable(n_buckets=n_buckets)
+        failures = []
+        for i in range(4 * n_buckets * BUCKET_SLOTS):
+            key = (i, i % 3)
+            got = _apply(flat, CuckooFullError, "insert", key, i)
+            want = _apply(ref, reference_cuckoo.CuckooFullError, "insert", key, i)
+            assert got == want, i
+            if got == "full":
+                failures.append(i)
+            _assert_same_state(flat, ref)
+        assert failures, "the table never filled"

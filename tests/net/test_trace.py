@@ -1,6 +1,9 @@
 """Tests for trace generators and flow sets."""
 
+import pickle
 import random
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -90,6 +93,51 @@ class TestFlowSet:
         flows = FlowSet(256, random.Random(7))
         buckets = {f.rss_hash() % 4 for f in flows}
         assert buckets == {0, 1, 2, 3}
+
+
+def _frozen_flowset_cdf(count, zipf_s):
+    """``FlowSet``'s CDF as first written: an explicit running sum."""
+    harmonics = [1.0 / ((rank + 1) ** zipf_s) for rank in range(count)]
+    total = sum(harmonics)
+    cdf = []
+    acc = 0.0
+    for h in harmonics:
+        acc += h / total
+        cdf.append(acc)
+    return cdf
+
+
+def _frozen_flowset_pick(cdf, u):
+    """``FlowSet.pick``'s hand-written binary search, clamped to the end."""
+    lo, hi = 0, len(cdf) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cdf[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestFlowSetExactness:
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    def test_cdf_matches_running_sum(self, count):
+        flows = FlowSet(count, random.Random(3))
+        assert flows._cdf == _frozen_flowset_cdf(count, 1.1)
+
+    def test_picks_match_hand_written_search(self):
+        cdf = _frozen_flowset_cdf(500, 1.1)
+        flows = FlowSet(500, random.Random(5))
+        shadow = random.Random()
+        shadow.setstate(flows._rng.getstate())
+        for _ in range(3000):
+            expected = flows[_frozen_flowset_pick(cdf, shadow.random())]
+            assert flows.pick() is expected
+
+    def test_pick_clamps_to_last_flow(self):
+        flows = FlowSet(4, random.Random(0))
+        flows._rng = type("Top", (), {"random": lambda self: 2.0})()
+        assert flows.pick() is flows[3]
 
 
 class TestFixedSizeTrace:
@@ -267,3 +315,70 @@ class TestElephantShift:
             self._gen(shift_at=0)
         with pytest.raises(ValueError):
             self._gen(shift_offset=5)
+
+
+def _frozen_zipf_cdf(n_flows, zipf_s):
+    """The skewed generator's CDF as a list of floats (the original formula)."""
+    weights = [(rank + 1) ** -zipf_s for rank in range(n_flows)]
+    total = sum(weights)
+    return list(accumulate(w / total for w in weights))
+
+
+class TestSharedZipfCdf:
+    """One immutable ``array('d')`` CDF per ``(n_flows, zipf_s)``."""
+
+    @pytest.mark.parametrize("n_flows", [1, 2, 1000, 50_000])
+    @pytest.mark.parametrize("zipf_s", [0.5, 1.1, 1.6])
+    def test_bit_identical_to_list_formula(self, n_flows, zipf_s):
+        from repro.net.trace import zipf_cdf
+
+        cdf = zipf_cdf(n_flows, zipf_s)
+        assert cdf.typecode == "d"
+        assert cdf.tolist() == _frozen_zipf_cdf(n_flows, zipf_s)
+
+    def test_generators_with_one_key_share_one_table(self):
+        from repro.net.trace import SkewedTraceGenerator
+
+        a = SkewedTraceGenerator(n_flows=5000, zipf_s=1.1, seed=1)
+        b = SkewedTraceGenerator(n_flows=5000, zipf_s=1.1, seed=2)
+        c = SkewedTraceGenerator(n_flows=5000, zipf_s=1.2, seed=1)
+        assert a._cdf is b._cdf
+        assert c._cdf is not a._cdf
+        assert SkewedTraceGenerator(n_flows=5000, seed=1)._cdf is None
+
+    def test_reset_caches_rebuilds_an_equal_table(self):
+        from repro.exec.cache import reset_caches
+        from repro.net.trace import zipf_cdf
+
+        before = zipf_cdf(3000, 1.1)
+        reset_caches()
+        after = zipf_cdf(3000, 1.1)
+        assert after is not before
+        assert after == before
+
+    def test_pickled_generator_emits_identical_packets(self):
+        from repro.net.trace import SkewedTraceGenerator
+
+        gen = SkewedTraceGenerator(n_flows=20_000, zipf_s=1.1, seed=4)
+        for _ in range(10):
+            gen.next_packet()
+        clone = pickle.loads(pickle.dumps(gen))
+        for _ in range(500):
+            a, b = gen.next_packet(), clone.next_packet()
+            assert a.data_bytes() == b.data_bytes()
+            assert a.rss_hash == b.rss_hash
+            assert a.anno_u32(ANNO_SEQUENCE) == b.anno_u32(ANNO_SEQUENCE)
+
+    def test_cold_build_stays_compact(self):
+        """8 bytes per rank: no per-element float objects, no weights list."""
+        from repro.exec.cache import reset_caches
+        from repro.net.trace import SkewedTraceGenerator
+
+        reset_caches()
+        tracemalloc.start()
+        try:
+            SkewedTraceGenerator(n_flows=200_000, zipf_s=1.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 1024 * 1024, "cold build peaked at %d bytes" % peak
