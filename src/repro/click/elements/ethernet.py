@@ -42,9 +42,7 @@ class EtherRewrite(Element):
         self.declare_param("dst", MacAddress(dst), size=8)
 
     def process(self, pkt):
-        ether = pkt.ether()
-        ether.src = self.param("src")
-        ether.dst = self.param("dst")
+        pkt.ether().set_addresses(self.param("dst"), self.param("src"))
         return 0
 
     def const_writes(self):

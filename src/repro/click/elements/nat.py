@@ -55,22 +55,24 @@ class IPRewriter(Element):
         if proto not in (IP_PROTO_TCP, IP_PROTO_UDP):
             return 0  # pass non-TCP/UDP unchanged (no port to translate)
         l4 = pkt.tcp() if proto == IP_PROTO_TCP else pkt.udp()
-        key = (int(ip.src), int(ip.dst), proto, l4.src_port, l4.dst_port)
+        src = ip.src_value
+        dst = ip.dst_value
+        src_port = l4.src_port
+        dst_port = l4.dst_port
+        key = (src, dst, proto, src_port, dst_port)
         mapping = self.table.lookup(key)
         if mapping is None:
             public_port = self._allocate_port()
-            mapping = (int(self.param("public_ip")), public_port)
+            mapping = (self.param("public_ip").value, public_port)
             self.table.insert(key, mapping)
             # Reverse mapping so return traffic can be translated back.
-            reverse_key = (int(ip.dst), mapping[0], proto, l4.dst_port, public_port)
-            self.table.insert(reverse_key, (key[0], key[3]))
+            reverse_key = (dst, mapping[0], proto, dst_port, public_port)
+            self.table.insert(reverse_key, (src, src_port))
             self.new_flows += 1
         new_ip, new_port = mapping
-        old_src_words = (int(ip.src) >> 16, int(ip.src) & 0xFFFF)
-        ip.src = IPv4Address(new_ip)  # incremental IP checksum fix inside
-        if proto == IP_PROTO_TCP:
-            new_words = (new_ip >> 16, new_ip & 0xFFFF)
-            l4.adjust_checksum_for_address(old_src_words, new_words)
+        ip.src = new_ip  # incremental IP checksum fix inside
+        # The L4 checksum covers the pseudo-header's source address too.
+        l4.adjust_checksum_for_address((src >> 16, src & 0xFFFF), (new_ip >> 16, new_ip & 0xFFFF))
         l4.src_port = new_port  # incremental L4 checksum fix inside
         self.rewrites += 1
         return 0

@@ -29,9 +29,15 @@ class _TrieNode:
     __slots__ = ("children", "value", "value_len")
 
     def __init__(self):
-        self.children: List[Optional[_TrieNode]] = [None] * FANOUT
+        # Allocated on the first child insert: most nodes are leaves.
+        self.children: Optional[List[Optional[_TrieNode]]] = None
         self.value: Optional[Tuple[Optional[IPv4Address], int]] = None
         self.value_len = -1
+
+    def child_array(self) -> List[Optional["_TrieNode"]]:
+        if self.children is None:
+            self.children = [None] * FANOUT
+        return self.children
 
 
 class RadixTrie:
@@ -55,21 +61,23 @@ class RadixTrie:
         addr = prefix.value
         while remaining > STRIDE:
             byte = (addr >> (24 - depth * 8)) & 0xFF
-            if node.children[byte] is None:
-                node.children[byte] = _TrieNode()
+            children = node.child_array()
+            if children[byte] is None:
+                children[byte] = _TrieNode()
                 self.n_nodes += 1
-            node = node.children[byte]
+            node = children[byte]
             depth += 1
             remaining -= STRIDE
         # Prefix expansion within the final stride.
         byte = (addr >> (24 - depth * 8)) & 0xFF if remaining else 0
         span = 1 << (STRIDE - remaining)
         base = byte & ~(span - 1) if remaining else 0
+        children = node.child_array()
         for i in range(base, base + span if remaining else FANOUT):
-            child = node.children[i]
+            child = children[i]
             if child is None:
                 child = _TrieNode()
-                node.children[i] = child
+                children[i] = child
                 self.n_nodes += 1
             if prefix_len >= child.value_len:
                 child.value = value
@@ -80,14 +88,15 @@ class RadixTrie:
                 node.value_len = prefix_len
         self.n_routes += 1
 
-    def lookup(self, addr: IPv4Address) -> Optional[Tuple[Optional[IPv4Address], int]]:
-        """Longest-prefix match; returns (gateway, port) or None."""
+    def lookup(self, value: int) -> Optional[Tuple[Optional[IPv4Address], int]]:
+        """Longest-prefix match of an int address; returns (gateway, port) or None."""
         node = self.root
-        best = self.root.value
-        value = addr.value
-        for depth in range(4):
-            byte = (value >> (24 - depth * 8)) & 0xFF
-            node = node.children[byte]
+        best = node.value
+        for shift in (24, 16, 8, 0):
+            children = node.children
+            if children is None:
+                break
+            node = children[(value >> shift) & 0xFF]
             if node is None:
                 break
             if node.value is not None:
@@ -101,7 +110,8 @@ class RadixTrie:
         """Typical lookup depth (levels actually populated)."""
         depth = 0
         node = self.root
-        while depth < 4 and any(c is not None for c in node.children):
+        # A child array exists only once a child was inserted into it.
+        while depth < 4 and node.children is not None:
             node = next(c for c in node.children if c is not None)
             depth += 1
         return max(1, depth)
@@ -143,14 +153,13 @@ class RadixIPLookup(Element):
         self.misses = 0
 
     def process(self, pkt):
-        dst = pkt.ip().dst
+        dst = pkt.ip().dst_value
         result = self.trie.lookup(dst)
         if result is None:
             self.misses += 1
             return None
         gateway, port = result
-        next_hop = gateway if gateway is not None else dst
-        pkt.set_anno_u32(4, next_hop.value)  # ANNO_DST_IP
+        pkt.set_anno_u32(4, dst if gateway is None else gateway.value)  # ANNO_DST_IP
         return port
 
     def ir_program(self) -> Program:

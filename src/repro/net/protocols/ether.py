@@ -49,6 +49,10 @@ class EtherHeader:
     def ethertype(self, value: int) -> None:
         self._buf[self._off + 12 : self._off + 14] = value.to_bytes(2, "big")
 
+    def set_addresses(self, dst: MacAddress, src: MacAddress) -> None:
+        """Write both MACs in wire order (dst, then src) as one 12-byte slice."""
+        self._buf[self._off : self._off + 12] = dst.packed + src.packed
+
     def swap_addresses(self) -> None:
         """Exchange source and destination MACs (EtherMirror's operation)."""
         off = self._off

@@ -8,6 +8,14 @@ from repro.net.checksum import incremental_update, internet_checksum, verify_che
 IPV4_MIN_HEADER_LEN = 20
 
 
+def _address_value(ip) -> int:
+    """An address setter's argument as an int: an in-range int passes as is;
+    anything else goes through ``IPv4Address`` (which raises its own error)."""
+    if type(ip) is int and 0 <= ip <= 0xFFFFFFFF:
+        return ip
+    return IPv4Address(ip).value
+
+
 class Ipv4Header:
     """View over an IPv4 header (20 bytes + options) inside a buffer."""
 
@@ -105,58 +113,78 @@ class Ipv4Header:
 
     @property
     def src(self) -> IPv4Address:
-        return IPv4Address(bytes(self._buf[self._off + 12 : self._off + 16]))
+        return IPv4Address(self.src_value)
 
     @src.setter
-    def src(self, ip: IPv4Address) -> None:
-        self._set_address(12, IPv4Address(ip))
+    def src(self, ip) -> None:
+        self._set_address(12, _address_value(ip))
+
+    @property
+    def src_value(self) -> int:
+        off = self._off + 12
+        return int.from_bytes(self._buf[off : off + 4], "big")
 
     @property
     def dst(self) -> IPv4Address:
-        return IPv4Address(bytes(self._buf[self._off + 16 : self._off + 20]))
+        return IPv4Address(self.dst_value)
 
     @dst.setter
-    def dst(self, ip: IPv4Address) -> None:
-        self._set_address(16, IPv4Address(ip))
+    def dst(self, ip) -> None:
+        self._set_address(16, _address_value(ip))
+
+    @property
+    def dst_value(self) -> int:
+        off = self._off + 16
+        return int.from_bytes(self._buf[off : off + 4], "big")
 
     # -- operations ----------------------------------------------------------
 
-    def _set_address(self, rel: int, ip: IPv4Address) -> None:
+    def _set_address(self, rel: int, value: int) -> None:
         """Rewrite an address field, incrementally fixing the checksum."""
+        buf = self._buf
         off = self._off + rel
-        checksum = self.checksum
-        for half in range(2):
-            old = int.from_bytes(self._buf[off + 2 * half : off + 2 * half + 2], "big")
-            new = int.from_bytes(ip.packed[2 * half : 2 * half + 2], "big")
-            checksum = incremental_update(checksum, old, new)
-        self._buf[off : off + 4] = ip.packed
-        self.checksum = checksum
+        csum_off = self._off + 10
+        old = int.from_bytes(buf[off : off + 4], "big")
+        checksum = int.from_bytes(buf[csum_off : csum_off + 2], "big")
+        checksum = incremental_update(checksum, old >> 16, value >> 16)
+        checksum = incremental_update(checksum, old & 0xFFFF, value & 0xFFFF)
+        buf[off : off + 4] = value.to_bytes(4, "big")
+        buf[csum_off : csum_off + 2] = checksum.to_bytes(2, "big")
 
     def header_bytes(self) -> bytes:
         return bytes(self._buf[self._off : self._off + self.header_len])
 
     def verify(self) -> bool:
         """Full header sanity check, as CheckIPHeader performs."""
-        if self.version != 4:
+        buf = self._buf
+        off = self._off
+        first = buf[off]
+        if first >> 4 != 4:
             return False
-        if self.ihl < 5:
+        ihl = first & 0x0F
+        if ihl < 5:
             return False
-        if self.total_len < self.header_len:
+        header_len = ihl * 4
+        if int.from_bytes(buf[off + 2 : off + 4], "big") < header_len:
             return False
-        if len(self._buf) - self._off < self.header_len:
+        if len(buf) - off < header_len:
             return False
-        return verify_checksum(self.header_bytes())
+        return verify_checksum(bytes(buf[off : off + header_len]))
 
     def decrement_ttl(self) -> int:
         """Decrement TTL with the RFC 1624 incremental checksum fix.
 
         Returns the new TTL.  Callers must check for zero and drop/ICMP.
         """
-        old_word = (self.ttl << 8) | self.proto
-        self.ttl = self.ttl - 1
-        new_word = (self.ttl << 8) | self.proto
-        self.checksum = incremental_update(self.checksum, old_word, new_word)
-        return self.ttl
+        buf = self._buf
+        off = self._off
+        ttl = buf[off + 8]
+        proto = buf[off + 9]
+        buf[off + 8] = ttl - 1
+        checksum = int.from_bytes(buf[off + 10 : off + 12], "big")
+        checksum = incremental_update(checksum, (ttl << 8) | proto, ((ttl - 1) << 8) | proto)
+        buf[off + 10 : off + 12] = checksum.to_bytes(2, "big")
+        return ttl - 1
 
     def recompute_checksum(self) -> None:
         self.checksum = 0

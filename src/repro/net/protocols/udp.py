@@ -68,6 +68,19 @@ class UdpHeader:
     def checksum(self, value: int) -> None:
         self._buf[self._off + 6 : self._off + 8] = value.to_bytes(2, "big")
 
+    def adjust_checksum_for_address(self, old_ip_words: tuple, new_ip_words: tuple) -> None:
+        """Fix the UDP checksum after the pseudo-header address changed.
+
+        A zero checksum means "no checksum" and stays zero; a computed zero
+        is sent as 0xFFFF, as in ``_set_port``.
+        """
+        checksum = self.checksum
+        if checksum == 0:
+            return
+        for old, new in zip(old_ip_words, new_ip_words):
+            checksum = incremental_update(checksum, old, new)
+        self.checksum = checksum or 0xFFFF
+
     def verify_structure(self, available: int) -> bool:
         """IDS-style structural check: UDP length fits the remaining bytes."""
         return UDP_HEADER_LEN <= self.length <= available

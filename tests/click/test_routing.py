@@ -1,5 +1,7 @@
 """Tests for the radix trie and the RadixIPLookup/IPRewriter elements."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,13 @@ from repro.click.element import ElementConfigError
 from repro.click.elements.ip import CheckIPHeader
 from repro.click.elements.nat import IPRewriter
 from repro.click.elements.routing import RadixIPLookup, RadixTrie
+from repro.core import nfs
 from repro.net.addresses import IPv4Address
 from repro.net.flows import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FlowSpec
 from repro.net.packet import Packet
 from repro.net.trace import build_frame
+
+from tests.click import reference_trie
 
 
 def make(cls, config):
@@ -30,34 +35,34 @@ class TestRadixTrie:
     def test_exact_match(self):
         trie = RadixTrie()
         trie.insert(IPv4Address("10.0.0.1"), 32, None, 3)
-        assert trie.lookup(IPv4Address("10.0.0.1")) == (None, 3)
-        assert trie.lookup(IPv4Address("10.0.0.2")) is None
+        assert trie.lookup(IPv4Address("10.0.0.1").value) == (None, 3)
+        assert trie.lookup(IPv4Address("10.0.0.2").value) is None
 
     def test_prefix_match(self):
         trie = RadixTrie()
         trie.insert(IPv4Address("192.168.0.0"), 16, None, 1)
-        assert trie.lookup(IPv4Address("192.168.44.5")) == (None, 1)
-        assert trie.lookup(IPv4Address("192.169.0.1")) is None
+        assert trie.lookup(IPv4Address("192.168.44.5").value) == (None, 1)
+        assert trie.lookup(IPv4Address("192.169.0.1").value) is None
 
     def test_longest_prefix_wins(self):
         trie = RadixTrie()
         trie.insert(IPv4Address("10.0.0.0"), 8, None, 1)
         trie.insert(IPv4Address("10.1.0.0"), 16, None, 2)
         trie.insert(IPv4Address("10.1.2.0"), 24, None, 3)
-        assert trie.lookup(IPv4Address("10.9.9.9"))[1] == 1
-        assert trie.lookup(IPv4Address("10.1.9.9"))[1] == 2
-        assert trie.lookup(IPv4Address("10.1.2.9"))[1] == 3
+        assert trie.lookup(IPv4Address("10.9.9.9").value)[1] == 1
+        assert trie.lookup(IPv4Address("10.1.9.9").value)[1] == 2
+        assert trie.lookup(IPv4Address("10.1.2.9").value)[1] == 3
 
     def test_default_route(self):
         trie = RadixTrie()
         trie.insert(IPv4Address("0.0.0.0"), 0, IPv4Address("10.0.0.254"), 9)
-        assert trie.lookup(IPv4Address("8.8.8.8")) == (IPv4Address("10.0.0.254"), 9)
+        assert trie.lookup(IPv4Address("8.8.8.8").value) == (IPv4Address("10.0.0.254"), 9)
 
     def test_non_octet_prefix_lengths(self):
         trie = RadixTrie()
         trie.insert(IPv4Address("192.168.64.0"), 18, None, 2)
-        assert trie.lookup(IPv4Address("192.168.100.1"))[1] == 2
-        assert trie.lookup(IPv4Address("192.168.1.1")) is None
+        assert trie.lookup(IPv4Address("192.168.100.1").value)[1] == 2
+        assert trie.lookup(IPv4Address("192.168.1.1").value) is None
 
     def test_bad_prefix_length(self):
         with pytest.raises(ValueError):
@@ -98,11 +103,63 @@ class TestRadixTrie:
             if probe_ip.in_prefix(prefix, plen) and plen >= best_len:
                 # Later duplicates of equal length overwrite, like insert().
                 best, best_len = port, plen
-        got = trie.lookup(probe_ip)
+        got = trie.lookup(probe_ip.value)
         if best is None:
             assert got is None
         else:
             assert got is not None and got[1] == best
+
+
+ROUTE_SETS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=(1 << 32) - 1),
+        st.integers(min_value=0, max_value=32),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=(1 << 32) - 1)),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=12,
+)
+
+
+class TestLazyChildrenDifferential:
+    """Child arrays allocated on first insert change no lookup and no model input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROUTE_SETS, st.lists(st.integers(min_value=0, max_value=(1 << 32) - 1),
+                                min_size=1, max_size=16))
+    def test_matches_eager_reference(self, routes, probes):
+        trie, ref = RadixTrie(), reference_trie.RadixTrie()
+        for addr, plen, gateway, port in routes:
+            gw = None if gateway is None else IPv4Address(gateway)
+            trie.insert(IPv4Address(addr), plen, gw, port)
+            ref.insert(IPv4Address(addr), plen, gw, port)
+        # Probe the routes' own prefixes too, so hits are common.
+        for probe in probes + [addr for addr, _, _, _ in routes]:
+            assert trie.lookup(probe) == ref.lookup(IPv4Address(probe))
+        assert trie.n_nodes == ref.n_nodes
+        assert trie.n_routes == ref.n_routes
+        assert trie.footprint_bytes() == ref.footprint_bytes()
+        assert trie.expected_depth() == ref.expected_depth()
+
+    def test_nat_router_trie_leaves_hold_no_child_array(self):
+        """The NAT router's five routes: 514 nodes, 512 of them leaves.
+
+        With a 256-slot list per node the trie took about 1.1 MB; with
+        lists only on the two inner nodes it takes about 36 KB.
+        """
+        config = ", ".join(nfs.ROUTES)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            element = make(RadixIPLookup, config)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert element.trie.n_nodes == 514
+        assert grown < 128 * 1024
 
 
 class TestRadixIPLookupElement:
