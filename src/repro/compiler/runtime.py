@@ -79,6 +79,12 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
     The entry point for the driver and PMD hot loops.  Identical charge
     sequence to :func:`execute_interpreted`.
 
+    The compute and branch-miss charge is made here, with the float
+    operations of ``CpuCore.charge_compute`` and then
+    ``CpuCore.charge_branch_miss`` in their order, and stored on the core
+    before the memory walk starts: a walk that raises leaves the same
+    partial charge the two calls would.
+
     Memory and random ops charge no instructions (they were folded into
     ``program.instructions``), so their latency is added to the core
     directly, as the generated kernels do: ``CpuCore.mem_access`` with
@@ -88,9 +94,16 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
     each op's cost to the core's running totals in op order -- the same
     float additions as one ``access`` call per op.
     """
-    cpu.charge_compute(program.instructions)
-    if program.branch_miss_expect:
-        cpu.charge_branch_miss(program.branch_miss_expect)
+    params = cpu.params
+    instructions = program.instructions
+    cpu.instructions += instructions
+    cycles = cpu.core_cycles + instructions / params.issue_ipc
+    miss = program.branch_miss_expect
+    if miss:
+        cycles += params.branch_miss_cycles * miss
+        handles = cpu.mem.counters[cpu.core_id].handles
+        handles.branch_misses.value += round(miss)
+    cpu.core_cycles = cycles
     try:
         ops = program._compiled_ops
     except AttributeError:
@@ -98,7 +111,7 @@ def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
     if ops:
         cpu.core_cycles, cpu.uncore_ns = cpu.mem.access_ops(
             cpu.core_id, ops, (meta, mbuf, descriptor, data, state),
-            cpu.core_cycles, cpu.uncore_ns)
+            cycles, cpu.uncore_ns)
     if program.random_ops:
         core_id = cpu.core_id
         analytic = cpu.mem.analytic_access

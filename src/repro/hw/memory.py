@@ -73,7 +73,9 @@ class MemorySystem:
         one load/store; the TLB is consulted once per page touched.  An
         op's cost is summed from ``0.0`` over its lines and then added to
         the running totals, which is the float sequence of one
-        :meth:`access` per op.
+        :meth:`access` per op.  An op on one line (nearly all of them)
+        takes no loop: that subtotal is the line's one cycle cost, or its
+        walk ns plus its LLC/DRAM ns, since ``0.0 + x`` is exactly ``x``.
 
         Most lines hit in L1, so the L1 check is made here; a miss takes
         the full walk in :meth:`CacheHierarchy.lookup`, whose own L1 check
@@ -95,51 +97,90 @@ class MemorySystem:
         page_size = params.page_size
         l1_hit_cycles = params.l1_hit_cycles
         memo = hierarchy.last_line[core]
-        for target, offset, size, _write in ops:
-            addr = bases[target] + offset
-            first_line = addr // line
-            last_line = (addr + size - 1) // line
-            if first_line == memo and last_line == memo:
-                l1_hits.value += 1
-                cycles += l1_hit_cycles
-                continue
-            if last_line < first_line:
-                continue  # no line touched (size <= 0): the memo stands
-            op_cycles = 0.0
-            op_ns = 0.0
-            for line_addr in range(first_line, last_line + 1):
-                byte = line_addr * line
-                if byte >= DMA_BASE:
-                    # The DPDK DMA region is hugepage-backed (2 MB pages).
-                    page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
-                else:
-                    page = byte // page_size
-                if page != tlb.last_page:
-                    op_ns += tlb.access(page)
-                cset = l1_sets[line_addr % n_sets]
-                flag = cset.pop(line_addr, None)
-                if flag is not None:
-                    cset[line_addr] = flag
-                    l1_hits.value += 1
-                    op_cycles += l1_hit_cycles
+        try:
+            for target, offset, size, _write in ops:
+                addr = bases[target] + offset
+                first_line = addr // line
+                last_line = (addr + size - 1) // line
+                if first_line == last_line:
+                    if first_line == memo:
+                        l1_hits.value += 1
+                        cycles += l1_hit_cycles
+                        continue
+                    memo = first_line
+                    byte = first_line * line
+                    if byte >= DMA_BASE:
+                        page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+                    else:
+                        page = byte // page_size
+                    # A TLB walk's ns is added to the line's LLC/DRAM ns
+                    # first, as the op's subtotal would be.
+                    if page == tlb.last_page:
+                        walk_ns = 0.0
+                    else:
+                        walk_ns = tlb.access(page)
+                    cset = l1_sets[first_line % n_sets]
+                    flag = cset.pop(first_line, None)
+                    if flag is not None:
+                        cset[first_line] = flag
+                        l1_hits.value += 1
+                        cycles += l1_hit_cycles
+                        ns += walk_ns
+                        continue
+                    level = hierarchy.lookup(core, first_line)
+                    if level == L2:
+                        h.l2_hits.value += 1
+                        cycles += params.l2_hit_cycles
+                        ns += walk_ns
+                    elif level == LLC:
+                        h.llc_loads.value += 1
+                        h.llc_hits.value += 1
+                        ns += walk_ns + params.llc_hit_ns / params.mlp
+                    else:
+                        h.llc_loads.value += 1
+                        h.llc_misses.value += 1
+                        ns += walk_ns + params.dram_ns / params.mlp
                     continue
-                level = hierarchy.lookup(core, line_addr)
-                if level == L2:
-                    h.l2_hits.value += 1
-                    op_cycles += params.l2_hit_cycles
-                elif level == LLC:
-                    h.llc_loads.value += 1
-                    h.llc_hits.value += 1
-                    op_ns += params.llc_hit_ns / params.mlp
-                else:
-                    h.llc_loads.value += 1
-                    h.llc_misses.value += 1
-                    op_ns += params.dram_ns / params.mlp
-            cycles += op_cycles
-            ns += op_ns
-            memo = last_line
-        hierarchy.last_line[core] = memo
-        h.dtlb_walks.value = tlb.walks
+                if last_line < first_line:
+                    continue  # no line touched (size <= 0): the memo stands
+                op_cycles = 0.0
+                op_ns = 0.0
+                for line_addr in range(first_line, last_line + 1):
+                    byte = line_addr * line
+                    if byte >= DMA_BASE:
+                        # The DPDK DMA region is hugepage-backed (2 MB pages).
+                        page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+                    else:
+                        page = byte // page_size
+                    if page != tlb.last_page:
+                        op_ns += tlb.access(page)
+                    cset = l1_sets[line_addr % n_sets]
+                    flag = cset.pop(line_addr, None)
+                    if flag is not None:
+                        cset[line_addr] = flag
+                        l1_hits.value += 1
+                        op_cycles += l1_hit_cycles
+                        continue
+                    level = hierarchy.lookup(core, line_addr)
+                    if level == L2:
+                        h.l2_hits.value += 1
+                        op_cycles += params.l2_hit_cycles
+                    elif level == LLC:
+                        h.llc_loads.value += 1
+                        h.llc_hits.value += 1
+                        op_ns += params.llc_hit_ns / params.mlp
+                    else:
+                        h.llc_loads.value += 1
+                        h.llc_misses.value += 1
+                        op_ns += params.dram_ns / params.mlp
+                cycles += op_cycles
+                ns += op_ns
+                memo = last_line
+        finally:
+            # Also on a raise (a bad base): the memo and the walk count
+            # then stand as the ops charged so far left them.
+            hierarchy.last_line[core] = memo
+            h.dtlb_walks.value = tlb.walks
         return cycles, ns
 
     # -- analytic capacity model -----------------------------------------------

@@ -9,28 +9,13 @@ lets that effect show up in the measurements.
 from __future__ import annotations
 
 
-class _LruSet(dict):
-    """A fully-associative LRU set of page numbers with a capacity bound.
-
-    Pages are kept least-recently-used first: a hit pops the page and
-    re-inserts it at the MRU end, and an insert past the capacity drops
-    the first page.
-    """
-
-    def __init__(self, capacity: int):
-        super().__init__()
-        self.capacity = capacity
-
-    def access(self, page: int) -> bool:
-        hit = self.pop(page, False)
-        self[page] = True
-        if not hit and len(self) > self.capacity:
-            del self[next(iter(self))]
-        return hit
-
-
 class Tlb:
     """L1 DTLB backed by a unified STLB; misses cost a page-walk.
+
+    Each level is a fully-associative LRU set of page numbers, kept in a
+    plain dict least-recently-used first: a hit pops the page and
+    re-inserts it at the MRU end, and an insert past the level's capacity
+    drops the first page.
 
     :attr:`last_page` is the last page translated, or ``None``.  It is
     always the DTLB's MRU entry, so translating it again would move
@@ -40,18 +25,30 @@ class Tlb:
 
     def __init__(self, params):
         self.params = params
-        self._dtlb = _LruSet(params.dtlb_entries)
-        self._stlb = _LruSet(params.stlb_entries)
+        self.dtlb_entries = params.dtlb_entries
+        self.stlb_entries = params.stlb_entries
+        self._dtlb = {}
+        self._stlb = {}
         self.last_page = None
         self.walks = 0
 
     def access(self, page: int) -> float:
         """Translate one page; returns the exposed walk latency in ns."""
         self.last_page = page
-        if self._dtlb.access(page):
+        dtlb = self._dtlb
+        if dtlb.pop(page, False):
+            dtlb[page] = True
             return 0.0
-        if self._stlb.access(page):
+        dtlb[page] = True
+        if len(dtlb) > self.dtlb_entries:
+            del dtlb[next(iter(dtlb))]
+        stlb = self._stlb
+        if stlb.pop(page, False):
+            stlb[page] = True
             return 0.0  # STLB hits refill the DTLB essentially for free
+        stlb[page] = True
+        if len(stlb) > self.stlb_entries:
+            del stlb[next(iter(stlb))]
         self.walks += 1
         return self.params.tlb_walk_ns
 
