@@ -486,7 +486,7 @@ class RouterDriver:
             # Attribute even a partial (raising) charge to the element --
             # the marks must tile the run for the totals to conserve.
             if attribution is not None:
-                attribution.sync("element." + element.name)
+                attribution.sync("element." + element.name, len(batch))
 
     def _push_batch(self, element: Element, batch: List, tx_queues) -> None:
         """Recursively push a batch through the graph from ``element``.
@@ -602,7 +602,7 @@ class RouterDriver:
             if spans is not None:
                 spans.pop()
             if attribution is not None:
-                attribution.sync("pmd.rx")
+                attribution.sync("pmd.rx", len(batch))
             if not batch:
                 continue
             received += len(batch)
@@ -634,7 +634,7 @@ class RouterDriver:
                 if spans is not None:
                     spans.pop()
                 if attribution is not None:
-                    attribution.sync("pmd.tx")
+                    attribution.sync("pmd.tx", sent)
                 transmitted += sent
                 self.stats.tx_packets += sent
                 self.stats.tx_bytes += sum(len(p) for p in pkts[:sent])
@@ -657,7 +657,7 @@ class RouterDriver:
                 if spans is not None:
                     spans.pop()
                 if attribution is not None:
-                    attribution.sync("pmd.tx")
+                    attribution.sync("pmd.tx", sent)
                 transmitted += sent
                 self.stats.tx_packets += sent
                 self.stats.tx_bytes += sum(len(p) for p in pkts[:sent])

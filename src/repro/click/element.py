@@ -27,7 +27,7 @@ from repro.compiler.ir import Compute, ParamRead, Program
 
 
 class ElementConfigError(ValueError):
-    """Bad element configuration string."""
+    """Bad element configuration string, named by the offending element."""
 
 
 class Element(abc.ABC):
@@ -52,7 +52,11 @@ class Element(abc.ABC):
         self.drops = 0
         # CounterScope over element.<name>.* when built with telemetry.
         self.telemetry_scope = None
-        self.configure(self.decl.positional_args(), self.decl.keyword_args())
+        try:
+            self.configure(self.decl.positional_args(), self.decl.keyword_args())
+        except ValueError as exc:
+            raise ElementConfigError(
+                "%s :: %s: %s" % (name, self.class_name, exc)) from exc
         if len(self.targets) < self.n_outputs:
             self.targets.extend([None] * (self.n_outputs - len(self.targets)))
 

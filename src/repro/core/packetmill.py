@@ -277,20 +277,6 @@ class PacketMill:
         mem = MemorySystem(self.params, n_cores=1, seed=self.seed)
         return self._build_core(mem, core_id=0)
 
-    def build_multicore(self, n_cores: int) -> List[SpecializedBinary]:
-        """Build per-core replicas sharing one memory system (RSS model).
-
-        Each core runs its own graph replica and polls its own NIC queue;
-        RSS keeps flows core-local, which the per-core trace seeds model.
-        (This is the *approximation* of sharding -- decorrelated per-core
-        traces; :meth:`build_sharded` is the real thing, one shared
-        arrival stream steered by the Toeplitz hash.)
-        """
-        if n_cores < 1:
-            raise BuildError("need at least one core")
-        mem = MemorySystem(self.params, n_cores=n_cores, seed=self.seed)
-        return [self._build_core(mem, core_id=c) for c in range(n_cores)]
-
     def build_runtime(self):
         """The profile's runtime: a binary, or a sharded runtime when
         ``n_cores > 1`` (what ``from_profile(...).build_runtime()`` is for)."""

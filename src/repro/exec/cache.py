@@ -37,10 +37,8 @@ Hit/miss counters live in a module-level
 any :class:`~repro.click.handlers.HandlerBroker` under the virtual
 ``exec.cache.*`` namespace.
 
-Environment gates (checked per call, so tests can flip them):
-``REPRO_CACHE=0`` disables every layer; ``REPRO_TRACE_CACHE=0``,
-``REPRO_BUILD_CACHE=0``, ``REPRO_CODEGEN_CACHE=0``, and
-``REPRO_POINT_CACHE=0`` disable one.
+Environment gate (checked per call, so tests can flip it):
+``REPRO_CACHE=0`` disables every layer.
 """
 
 from __future__ import annotations
@@ -69,11 +67,9 @@ _CODEGEN_MISSES = REGISTRY.counter("codegen_misses")
 _OFF = ("0", "false", "off", "no")
 
 
-def enabled(layer: str) -> bool:
-    """Whether the ``trace`` / ``build`` / ``point`` cache layer is on."""
-    if os.environ.get("REPRO_CACHE", "").lower() in _OFF:
-        return False
-    return os.environ.get("REPRO_%s_CACHE" % layer.upper(), "").lower() not in _OFF
+def enabled() -> bool:
+    """Whether the caches are on (``REPRO_CACHE`` is not ``0``)."""
+    return os.environ.get("REPRO_CACHE", "").lower() not in _OFF
 
 
 # -- trace cache ---------------------------------------------------------------
@@ -146,7 +142,7 @@ def trace_from_spec(kind: str, frame_len: Optional[int], spec: TraceSpec):
             return cls(frame_len, spec)
         return cls(spec)
 
-    if not enabled("trace"):
+    if not enabled():
         return fresh()
     key = _trace_key(kind, frame_len, spec)
     snap = _trace_cache.get(key)
@@ -190,7 +186,7 @@ def params_signature(params) -> tuple:
 
 def lookup_build(config: str, options, params):
     """Cached ``(layout registry, exec programs)`` for a build, if any."""
-    if not enabled("build"):
+    if not enabled():
         return None
     artifacts = _build_cache.get((config, options, params_signature(params)))
     if artifacts is None:
@@ -201,7 +197,7 @@ def lookup_build(config: str, options, params):
 
 
 def store_build(config: str, options, params, registry, exec_programs) -> None:
-    if not enabled("build"):
+    if not enabled():
         return
     _build_cache[(config, options, params_signature(params))] = (
         registry, exec_programs,
@@ -220,7 +216,7 @@ def lookup_codegen(config: str, options, params, facts=None):
     -- facts-specialized kernels charge differently, so they key
     separately; an empty map keys identically to ``None``.
     """
-    if not enabled("codegen"):
+    if not enabled():
         return None
     key = (config, options, params_signature(params), _facts_key(facts))
     compiled = _codegen_cache.get(key)
@@ -232,7 +228,7 @@ def lookup_codegen(config: str, options, params, facts=None):
 
 
 def store_codegen(config: str, options, params, compiled, facts=None) -> None:
-    if not enabled("codegen"):
+    if not enabled():
         return
     key = (config, options, params_signature(params), _facts_key(facts))
     _codegen_cache[key] = compiled
@@ -251,7 +247,7 @@ _point_cache: Dict[object, object] = {}
 
 def point_get(spec):
     """Cached measurement for a hashable sweep point, or ``None``."""
-    if not enabled("point"):
+    if not enabled():
         return None
     result = _point_cache.get(spec)
     if result is None:
@@ -262,7 +258,7 @@ def point_get(spec):
 
 
 def point_put(spec, result) -> None:
-    if enabled("point") and result is not None:
+    if enabled() and result is not None:
         _point_cache[spec] = result
 
 

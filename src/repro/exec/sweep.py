@@ -34,11 +34,7 @@ from repro.core.packetmill import PacketMill
 from repro.exec import cache
 from repro.hw.params import MachineParams
 from repro.net.rss import RssConfig
-from repro.perf.runner import (
-    measure_multicore,
-    measure_sharded,
-    measure_throughput,
-)
+from repro.perf.runner import measure_sharded, measure_throughput
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from repro.perf.report import (
 )
 from repro.perf.runner import (
     ThroughputPoint,
-    measure_multicore,
     measure_sharded,
     measure_throughput,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "format_qos_report",
     "format_report",
     "linear_fit",
-    "measure_multicore",
     "measure_sharded",
     "measure_throughput",
     "percentile",

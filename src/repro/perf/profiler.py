@@ -2,10 +2,17 @@
 
 The paper's premise for specialization is that "for a given network
 function and workload there is a subset of all execution paths that are
-very frequently used".  This profiler attributes the hardware model's
-costs to individual elements (plus the PMD RX/TX paths and graph
-dispatch), producing the breakdown a perf-record session would give on
-the real system -- and the input a PGO-style workflow would consume.
+very frequently used".  A :class:`ProfileReport` is the breakdown a
+perf-record session would give on the real system -- and the input a
+PGO-style workflow would consume.  It is a view over the binary's
+:class:`~repro.telemetry.attribution.CycleAttribution` buckets (one per
+element, ``pmd.rx``, ``pmd.tx`` and ``driver``), so the rows tile the
+run: they sum to its totals.  Build with telemetry on, measure, then
+read the report::
+
+    binary = PacketMill(config, telemetry=True).build()
+    binary.measure(batches=150, warmup_batches=80)
+    print(ProfileReport.from_binary(binary).format_table())
 """
 
 from __future__ import annotations
@@ -14,17 +21,27 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.core.binary import SpecializedBinary
+from repro.telemetry.attribution import DRIVER_BUCKET
+
+#: The integer cache events every bucket carries.
+CACHE_EVENTS = ("l1_hits", "l2_hits", "llc_loads", "llc_hits", "llc_misses")
+
+
+class ProfileError(ValueError):
+    """The binary cannot be profiled (built without cycle attribution)."""
 
 
 @dataclass
 class ElementProfile:
-    """Accumulated cost of one element (or pseudo-element)."""
+    """Accumulated cost of one element (or the PMD/driver pseudo-element)."""
 
     name: str
     class_name: str
     packets: int = 0
+    cycles: float = 0.0
     ns: float = 0.0
     instructions: float = 0.0
+    events: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ns_per_packet(self) -> float:
@@ -38,6 +55,49 @@ class ProfileReport:
     total_ns: float
     total_packets: int
     elements: Dict[str, ElementProfile] = field(default_factory=dict)
+
+    @classmethod
+    def from_binary(cls, binary: SpecializedBinary) -> "ProfileReport":
+        """The attribution since the binary's last measurement reset.
+
+        Elements are keyed by name; the PMD paths and the main loop by
+        their bucket names (``pmd.rx``, ``pmd.tx``, ``driver``).
+        Untraversed elements appear with zero cost.
+        """
+        attribution = binary.telemetry.attribution
+        if attribution is None:
+            raise ProfileError(
+                "binary was built without cycle attribution; "
+                "build it with telemetry=True to profile it")
+        owners = {
+            "element." + e.name: (e.name, e.decl.class_name)
+            for e in binary.graph.all_elements()
+        }
+        pmd_class = type(next(iter(binary.pmds.values()))).__name__
+        owners["pmd.rx"] = ("pmd.rx", pmd_class)
+        owners["pmd.tx"] = ("pmd.tx", pmd_class)
+        owners[DRIVER_BUCKET] = (DRIVER_BUCKET, type(binary.driver).__name__)
+        elements = {
+            name: ElementProfile(name, class_name)
+            for name, class_name in owners.values()
+        }
+        freq_ghz = binary.params.freq_ghz
+        for record in attribution.to_records():
+            bucket = record["bucket"]
+            name, class_name = owners[bucket]
+            elements[name] = ElementProfile(
+                name, class_name,
+                packets=attribution.registry.get(bucket + ".packets"),
+                cycles=record["cycles"],
+                ns=record["cycles"] / freq_ghz,
+                instructions=record["instructions"],
+                events={event: record[event] for event in CACHE_EVENTS},
+            )
+        return cls(
+            total_ns=binary.cpu.elapsed_ns(),
+            total_packets=binary.driver.stats.rx_packets,
+            elements=elements,
+        )
 
     def sorted_by_cost(self) -> List[ElementProfile]:
         return sorted(self.elements.values(), key=lambda e: -e.ns)
@@ -72,84 +132,3 @@ class ProfileReport:
                      % (self.total_ns / max(1, self.total_packets),
                         self.total_packets))
         return "\n".join(lines)
-
-
-class ElementProfiler:
-    """Attribute a binary's run cost to its elements.
-
-    Wraps the driver's per-element charging and the PMDs' burst methods
-    with cost snapshots.  Profiling perturbs nothing: it reads the same
-    accumulators the measurement uses.
-    """
-
-    def __init__(self, binary: SpecializedBinary):
-        self.binary = binary
-
-    def profile(self, batches: int = 150, warmup_batches: int = 80) -> ProfileReport:
-        binary = self.binary
-        driver = binary.driver
-        cpu = binary.cpu
-        profiles: Dict[str, ElementProfile] = {}
-        for element in binary.graph.all_elements():
-            profiles[element.name] = ElementProfile(
-                element.name, element.decl.class_name
-            )
-        rx_profile = profiles["<pmd-rx>"] = ElementProfile("<pmd-rx>", "MlxPmd")
-        tx_profile = profiles["<pmd-tx>"] = ElementProfile("<pmd-tx>", "MlxPmd")
-
-        original_charge = driver._charge_element
-
-        def charging_wrapper(element, batch):
-            before = cpu.elapsed_ns()
-            before_instr = cpu.instructions
-            original_charge(element, batch)
-            profile = profiles[element.name]
-            profile.ns += cpu.elapsed_ns() - before
-            profile.instructions += cpu.instructions - before_instr
-            profile.packets += len(batch)
-
-        wrapped_pmds = []
-        for pmd in binary.pmds.values():
-            original_rx = pmd.rx_burst
-            original_tx = pmd.tx_burst
-
-            def rx_wrapper(max_burst, _orig=original_rx):
-                before = cpu.elapsed_ns()
-                before_instr = cpu.instructions
-                out = _orig(max_burst)
-                rx_profile.ns += cpu.elapsed_ns() - before
-                rx_profile.instructions += cpu.instructions - before_instr
-                rx_profile.packets += len(out)
-                return out
-
-            def tx_wrapper(packets, _orig=original_tx):
-                before = cpu.elapsed_ns()
-                before_instr = cpu.instructions
-                sent = _orig(packets)
-                tx_profile.ns += cpu.elapsed_ns() - before
-                tx_profile.instructions += cpu.instructions - before_instr
-                tx_profile.packets += sent
-                return sent
-
-            wrapped_pmds.append((pmd, original_rx, original_tx))
-            pmd.rx_burst = rx_wrapper
-            pmd.tx_burst = tx_wrapper
-
-        driver._charge_element = charging_wrapper
-        try:
-            binary.warmup(warmup_batches)
-            for profile in profiles.values():
-                profile.packets = 0
-                profile.ns = 0.0
-                profile.instructions = 0.0
-            run = binary.run(batches)
-        finally:
-            driver._charge_element = original_charge
-            for pmd, original_rx, original_tx in wrapped_pmds:
-                pmd.rx_burst = original_rx
-                pmd.tx_burst = original_tx
-        return ProfileReport(
-            total_ns=run.elapsed_ns,
-            total_packets=run.packets,
-            elements=profiles,
-        )

@@ -9,21 +9,9 @@ the "other bottlenecks" that flatten Fig. 5's curves at high frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 from repro.core.binary import MeasuredRun, SpecializedBinary
 from repro.dpdk.pcie import PcieModel
-from repro.telemetry.registry import merge
-
-
-def aggregate_counters(binaries: Sequence[SpecializedBinary]):
-    """Name-wise sum of every replica's registry snapshot.
-
-    The multicore view of the telemetry registry: per-core counters
-    (``driver.rx_packets``, ``cpu.llc_misses``, ``nic.0.imissed``, ...)
-    merged across replicas, the way ``rte_eth_stats`` aggregates queues.
-    """
-    return merge(b.telemetry.registry.snapshot() for b in binaries)
 
 
 @dataclass
@@ -95,21 +83,35 @@ def measure_throughput(
     )
 
 
-def _aggregate_point(runs: Sequence[MeasuredRun], params, n_ports: int,
-                     n_cores: int) -> ThroughputPoint:
-    """Fold per-core measured runs into one cluster-level point.
+def measure_sharded(
+    runtime,
+    batches: int = 200,
+    warmup_batches: int = 100,
+) -> ThroughputPoint:
+    """Measure an RSS-sharded runtime at saturation.
 
-    The aggregate CPU rate is the sum of per-core service rates, clamped
-    by the shared link/PCIe (RSS splits one port's traffic, so the port
-    ceilings apply to the *sum*); the queue ceiling scales with cores
-    because every core adds an RX queue.  With ``n_cores == 1`` every
-    formula reduces exactly to :func:`measure_throughput`'s.
+    Warms up and steps the whole cluster in interleaved rounds (the
+    :class:`~repro.core.sharded.ShardedRuntime` already round-robins its
+    replicas, so their cache footprints contend in the shared LLC), then
+    folds the per-core runs into one cluster-level point.  The aggregate
+    CPU rate is the sum of per-core service rates, clamped by the shared
+    link/PCIe (RSS splits one port's traffic, so the port ceilings apply
+    to the *sum*); the queue ceiling scales with cores because every
+    core adds an RX queue.  A 1-core sharded runtime produces a point
+    *bit-identical* to :func:`measure_throughput` on the unsharded
+    binary -- the identity the tier-1 suite pins.
     """
+    runtime.warmup(warmup_batches)
+    runtime.run_batches(batches)
+    runs = runtime.runs()
+    first = runtime.replicas[0]
+    params = first.params
+    n_ports = len(first.pmds)
     total_cpu_pps = sum(1e9 / r.ns_per_packet for r in runs)
     frame = runs[0].mean_frame_len or 64.0
     limits = {
         "cpu": total_cpu_pps,
-        "queue": params.nic_queue_pps_limit * n_cores * n_ports,
+        "queue": params.nic_queue_pps_limit * runtime.n_cores * n_ports,
         "pcie": PcieModel(params).pps_limit(frame) * n_ports,
         "link": params.line_rate_pps(frame) * n_ports,
     }
@@ -126,51 +128,3 @@ def _aggregate_point(runs: Sequence[MeasuredRun], params, n_ports: int,
         bound_by=bound_by,
         run=runs[0],
     )
-
-
-def measure_multicore(
-    binaries: Sequence[SpecializedBinary],
-    batches: int = 200,
-    warmup_batches: int = 100,
-) -> ThroughputPoint:
-    """Aggregate throughput of per-core replicas sharing the LLC.
-
-    The pre-sharding approximation: N independent binaries, each with its
-    own full-rate trace, stepped round-robin so their cache footprints
-    really contend in the shared LLC.  For the real single-arrival-stream
-    RSS fan-out, build a :class:`~repro.core.sharded.ShardedRuntime` and
-    use :func:`measure_sharded`.
-    """
-    if not binaries:
-        raise ValueError("no binaries")
-    for binary in binaries:
-        binary.warmup(warmup_batches)
-    # Interleave so LLC contention between replicas is realistic.
-    for _ in range(batches):
-        for binary in binaries:
-            binary.driver.step()
-    runs: List[MeasuredRun] = [b.run(0) for b in binaries]
-    return _aggregate_point(runs, binaries[0].params, len(binaries[0].pmds),
-                            len(binaries))
-
-
-def measure_sharded(
-    runtime,
-    batches: int = 200,
-    warmup_batches: int = 100,
-) -> ThroughputPoint:
-    """Measure an RSS-sharded runtime at saturation.
-
-    Warms up and steps the whole cluster in interleaved rounds (the
-    :class:`~repro.core.sharded.ShardedRuntime` already round-robins its
-    replicas), then aggregates with the same ceiling arithmetic as
-    :func:`measure_multicore`.  A 1-core sharded runtime produces a
-    point *bit-identical* to :func:`measure_throughput` on the unsharded
-    binary -- the identity the tier-1 suite pins.
-    """
-    runtime.warmup(warmup_batches)
-    runtime.run_batches(batches)
-    runs = runtime.runs()
-    first = runtime.replicas[0]
-    return _aggregate_point(runs, first.params, len(first.pmds),
-                            runtime.n_cores)

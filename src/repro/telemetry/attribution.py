@@ -16,7 +16,9 @@ conserve to floating-point accumulation error.
 Buckets land in the registry under their own names --
 ``element.rt.cycles``, ``pmd.rx.instructions``, ``driver.cycles`` -- so
 handlers, window samples, and exports see attribution through the same
-glob reads as every other counter.
+glob reads as every other counter.  A sync may also name the packets its
+region handled (an element's batch, a PMD burst); those land in
+``<bucket>.packets``, created on first use.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class CycleAttribution:
         self.cpu = None
         self._mark: Optional[Tuple[float, ...]] = None
         self._buckets: Dict[str, List] = {}  # bucket -> [Counter, ...] per TRACKED
+        self._packets: Dict[str, object] = {}  # bucket -> packets Counter
 
     def bind(self, cpu) -> None:
         """Attach the core whose accumulators are being attributed."""
@@ -79,8 +82,9 @@ class CycleAttribution:
             self._buckets[bucket] = handles
         return handles
 
-    def sync(self, bucket: str) -> None:
-        """Attribute everything since the last mark to ``bucket``."""
+    def sync(self, bucket: str, packets: int = 0) -> None:
+        """Attribute everything since the last mark to ``bucket``, which
+        handled ``packets`` packets in that region."""
         now = self._read()
         mark = self._mark
         self._mark = now
@@ -89,6 +93,12 @@ class CycleAttribution:
         for handle, new, old in zip(self._handles(bucket), now, mark):
             if new != old:
                 handle.value += new - old
+        if packets:
+            handle = self._packets.get(bucket)
+            if handle is None:
+                handle = self._packets[bucket] = self.registry.counter(
+                    bucket + ".packets")
+            handle.value += packets
 
     # -- reading --------------------------------------------------------------
 

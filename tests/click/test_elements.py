@@ -20,6 +20,8 @@ from repro.click.elements import (
     VLANEncap,
     WorkPackage,
 )
+from repro.core import nfs
+from repro.core.packetmill import PacketMill
 from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.flows import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FlowSpec
 from repro.net.packet import ANNO_PAINT, ANNO_VLAN_TCI, Packet
@@ -53,6 +55,29 @@ class TestRegistry:
     def test_unknown_class(self):
         with pytest.raises(ElementConfigError):
             ElementRegistry.create(Declaration("x", "Teleporter"))
+
+
+class TestConfigErrors:
+    """A bad argument names its element, whichever parser rejects it."""
+
+    @pytest.mark.parametrize("config, old, new, where", [
+        (nfs.router(), "BURST 32);\n    output", "BURST 3Queue2);\n    output",
+         "input :: FromDPDKDevice: invalid literal"),
+        (nfs.router(), "192.168.0.0/18 0", "192.1;68.0.0/18 0",
+         "rt :: RadixIPLookup: invalid IPv4 address"),
+        (nfs.router(), "DST 02:00:00:00:00:03", "DST 02:00:0g:00:00:03",
+         "EtherRewrite@1 :: EtherRewrite: invalid MAC address"),
+        (nfs.nat_router(), "CAPACITY 16384", "CAPACITY 1000",
+         "IPRewriter@1 :: IPRewriter: bucket count must be a power of two"),
+    ], ids=["burst", "route", "mac", "cuckoo-size"])
+    def test_bad_argument_is_an_element_config_error(self, config, old, new,
+                                                     where):
+        assert old in config
+        with pytest.raises(ElementConfigError) as info:
+            PacketMill(config.replace(old, new)).build()
+        assert str(info.value).startswith(where)
+        # Still a ValueError, for callers that catch the broad class.
+        assert isinstance(info.value, ValueError)
 
 
 class TestEtherElements:

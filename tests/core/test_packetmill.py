@@ -138,36 +138,6 @@ class TestReordering:
             )).build()
 
 
-class TestMulticore:
-    def test_build_multicore_shares_memory(self):
-        binaries = mill(config=nfs.nat_router()).build_multicore(2)
-        assert len(binaries) == 2
-        assert binaries[0].mem is binaries[1].mem
-        assert binaries[0].cpu.core_id == 0
-        assert binaries[1].cpu.core_id == 1
-
-    def test_multicore_disjoint_addresses(self):
-        binaries = mill().build_multicore(2)
-        pool_a = binaries[0].model.mempool.region
-        pool_b = binaries[1].model.mempool.region
-        assert pool_a.end <= pool_b.base or pool_b.end <= pool_a.base
-
-    def test_multicore_rejects_zero(self):
-        with pytest.raises(BuildError):
-            mill().build_multicore(0)
-
-    def test_multicore_runs(self):
-        binaries = mill().build_multicore(2)
-        for binary in binaries:
-            binary.warmup(10)
-        for _ in range(10):
-            for binary in binaries:
-                binary.driver.step()
-        for binary in binaries:
-            run = binary.run(0)
-            assert run.packets == 320
-
-
 class TestVariantOrdering:
     """The headline performance relationships, as an integration test."""
 

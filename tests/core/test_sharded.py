@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.nfs import nat_router
 from repro.core.options import BuildOptions
-from repro.core.packetmill import PacketMill
+from repro.core.packetmill import BuildError, PacketMill
 from repro.core.profile import RunProfile
 from repro.core.sharded import ShardedRuntime
 from repro.faults.audit import (
@@ -73,6 +74,30 @@ class TestSingleCoreIdentity:
         assert plain.gbps == sharded.gbps
         assert plain.ns_per_packet == sharded.ns_per_packet
         assert plain.bound_by == sharded.bound_by
+
+
+class TestShardedBuild:
+    """Per-core replicas: one shared memory system, distinct cores."""
+
+    def test_replicas_share_memory(self):
+        runtime = PacketMill(nat_router(), trace=finite_trace_factory(),
+                             n_cores=2).build_sharded()
+        assert len(runtime.replicas) == 2
+        assert runtime.replicas[0].mem is runtime.replicas[1].mem
+
+    def test_core_ids_count_from_zero(self):
+        runtime = build_sharded(n_cores=3)
+        assert [b.cpu.core_id for b in runtime.replicas] == [0, 1, 2]
+
+    def test_partitioned_mempools_are_disjoint(self):
+        runtime = build_sharded(n_cores=2)
+        pool_a, pool_b = (b.model.mempool.region for b in runtime.replicas)
+        assert pool_a.end <= pool_b.base or pool_b.end <= pool_a.base
+
+    @pytest.mark.parametrize("n_cores", [0, -1])
+    def test_rejects_fewer_than_one_core(self, n_cores):
+        with pytest.raises(BuildError):
+            build_sharded(n_cores=n_cores)
 
 
 class TestShardedExecution:

@@ -7,7 +7,7 @@ from repro.core.options import BuildOptions, MetadataModel
 from repro.core.packetmill import PacketMill
 from repro.hw.params import MachineParams
 from repro.net.trace import FixedSizeTraceGenerator, TraceSpec
-from repro.perf.runner import _apply_ceilings, measure_multicore, measure_throughput
+from repro.perf.runner import _apply_ceilings, measure_sharded, measure_throughput
 
 
 def build(config=None, options=None, freq=2.3, frame=1024, seed=0):
@@ -71,11 +71,7 @@ class TestMeasureThroughput:
 class TestMeasureMulticore:
     def test_two_cores_roughly_double(self):
         mill = build(config=nfs.nat_router(), frame=1024)
-        one = measure_multicore(mill.build_multicore(1), batches=40, warmup_batches=20)
+        one = measure_sharded(mill.build_sharded(1), batches=40, warmup_batches=20)
         mill2 = build(config=nfs.nat_router(), frame=1024)
-        two = measure_multicore(mill2.build_multicore(2), batches=40, warmup_batches=20)
+        two = measure_sharded(mill2.build_sharded(2), batches=40, warmup_batches=20)
         assert two.cpu_pps > one.cpu_pps * 1.7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            measure_multicore([])

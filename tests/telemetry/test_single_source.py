@@ -87,14 +87,12 @@ class TestLiveRunViews:
 
     def test_multicore_aggregation_merges_replicas(self):
         from repro.core.packetmill import PacketMill
-        from repro.perf.runner import aggregate_counters
 
-        binaries = PacketMill(router(), telemetry=True).build_multicore(2)
-        for binary in binaries:
-            binary.driver.run_batches(20)
-        total = aggregate_counters(binaries)
+        runtime = PacketMill(router(), telemetry=True).build_sharded(2)
+        runtime.run_batches(20)
+        total = runtime.registry.snapshot()
         assert total["driver.rx_packets"] == sum(
-            b.driver.stats.rx_packets for b in binaries
+            b.driver.stats.rx_packets for b in runtime.replicas
         )
         assert total["driver.batches"] == 40
 
