@@ -12,8 +12,7 @@ Three cooperating checkers over the same IR the cost model executes:
 - the **constant propagation pass** (:mod:`repro.analyze.constprop`):
   path-sensitive abstract values per output port, propagated
   inter-element (``constant-branch``, ``redundant-check``); its dead
-  edges sharpen the dataflow and its proven facts feed the codegen
-  tier's dead-code elimination;
+  edges sharpen the dataflow;
 - the **lints** (:mod:`repro.analyze.lints`, :mod:`repro.analyze.sharding`):
   graph structure (unreachable elements, unconnected inputs, dangling
   outputs, shadowed classifier rules) and sharding safety of stateful
@@ -28,7 +27,6 @@ from repro.analyze.api import analyze_config, analyze_graph
 from repro.analyze.constprop import (
     ConstProp,
     Facts,
-    compute_program_facts,
     join_facts,
     match_predicate,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "assert_verified",
     "attach_verifier",
     "classify_element_state",
-    "compute_program_facts",
     "crosscheck_reorder",
     "join_facts",
     "lint_graph",

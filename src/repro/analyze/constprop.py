@@ -20,21 +20,17 @@ The abstract domain per edge is a :class:`Facts` triple:
 nothing.  Joins intersect -- facts only shrink, reachability only
 grows, so the worklist terminates.
 
-Elements opt in through three optional hooks (all default to "opaque"):
+Elements opt in through two optional hooks (both default to "opaque"):
 
 - ``dispatch_predicates()``: per output port, the condition under which
   the port fires (``None`` = catch-all), evaluated first-match like the
   interpreter's dispatch;
-- ``const_writes()``: constants the element stores into every packet;
-- ``specialized_ir(live_ports)``: a reduced IR program valid when only
-  ``live_ports`` can fire (used by the build to mint
-  :class:`~repro.compiler.facts.ProgramFacts`).
+- ``const_writes()``: constants the element stores into every packet.
 
 Findings:
 
 - ``constant-branch`` (WARNING): an output port can never fire under the
-  facts flowing in -- dead configuration, and the codegen tier deletes
-  the arm;
+  facts flowing in -- dead configuration;
 - ``redundant-check`` (NOTE): a dispatch decided entirely by upstream
   facts (an arm always matches, or every term of its test is implied).
 """
@@ -42,7 +38,7 @@ Findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analyze.findings import Finding
 from repro.click.graph import ProcessingGraph
@@ -349,25 +345,6 @@ class ConstProp:
 
     # -- results ------------------------------------------------------
 
-    def prunable(self) -> Dict[str, Tuple[int, ...]]:
-        """Live output ports per element, only for elements with >=1 dead
-        port -- the input to IR specialization."""
-        out: Dict[str, Tuple[int, ...]] = {}
-        for element in self.graph.all_elements():
-            if self.in_facts.get(element.name) is None:
-                continue
-            statuses = [
-                self.port_status.get((element.name, port), MAYBE)
-                for port in range(element.n_outputs)
-            ]
-            live = tuple(
-                port for port, s in enumerate(statuses)
-                if s not in (NEVER, DEAD)
-            )
-            if len(live) < element.n_outputs and element.n_outputs > 0:
-                out[element.name] = live
-        return out
-
     @property
     def stats(self) -> Dict[str, float]:
         facts_proven = sum(
@@ -435,48 +412,6 @@ class ConstProp:
         return out
 
 
-def compute_program_facts(graph: ProcessingGraph, run_pass, registry,
-                          constprop: Optional[ConstProp] = None):
-    """Mint :class:`~repro.compiler.facts.ProgramFacts` per specializable
-    element.
-
-    ``run_pass(program) -> program`` is the build's pass pipeline (so the
-    specialized IR goes through the same transforms as the original) and
-    ``registry`` the build's *final* layout registry (reordered or not).
-    Returns ``{element_name: ProgramFacts}`` with empty deltas dropped.
-    """
-    from repro.compiler.facts import facts_between
-    from repro.compiler.ir import BranchHint
-    from repro.compiler.lower import lower
-
-    cp = constprop if constprop is not None else ConstProp(graph)
-    live_map = cp.prunable()
-    out = {}
-    for element in graph.all_elements():
-        live = live_map.get(element.name)
-        if live is None:
-            continue
-        hook = getattr(element, "specialized_ir", None)
-        if hook is None:
-            continue
-        original_ir = element.ir_program()
-        special_ir = hook(live)
-        if special_ir is None:
-            continue
-        original = lower(run_pass(original_ir), registry)
-        specialized = lower(run_pass(special_ir), registry)
-        branches = (original_ir.count(BranchHint)
-                    - special_ir.count(BranchHint))
-        facts = facts_between(
-            original, specialized,
-            branches_eliminated=max(0, branches),
-            note="live ports %s" % (list(live),),
-        )
-        if not facts.is_empty:
-            out[element.name] = facts
-    return out
-
-
 __all__ = [
     "ALWAYS",
     "ConstProp",
@@ -484,7 +419,6 @@ __all__ = [
     "Facts",
     "MAYBE",
     "NEVER",
-    "compute_program_facts",
     "join_facts",
     "match_predicate",
 ]

@@ -98,32 +98,15 @@ class Classifier(Element):
     def ir_program(self) -> Program:
         # Constant embedding compiles the pattern table into immediate
         # compares (what click-fastclassifier does), removing the loads.
-        return self._ir_for_ports(tuple(range(self.n_outputs)), full=True)
-
-    def specialized_ir(self, live_ports) -> Program:
-        """The classifier reduced to the ports constprop proved live:
-        dead arms contribute no compare work, no pattern load, and -- when
-        the dispatch collapses to one arm -- no branch at all."""
-        return self._ir_for_ports(tuple(live_ports), full=False)
-
-    def _ir_for_ports(self, ports, full: bool) -> Program:
-        # The data read keeps the *original* width (specialization may
-        # only drop ops, never resize them -- ProgramFacts deltas must be
-        # subsequences); it disappears entirely only when every live
-        # pattern is the catch-all, i.e. nothing is compared any more.
-        ops = []
         width = 0
         for terms in self.patterns:
             for offset, value in terms:
                 width = max(width, offset + len(value))
-        if full or any(self.patterns[port] for port in ports):
-            ops.append(DataAccess(12, max(2, width - 12) if width > 12 else 2))
-        for port in ports:
+        ops = [DataAccess(12, max(2, width - 12) if width > 12 else 2)]
+        for port in range(self.n_outputs):
             ops.append(self.param_read_op("pattern%d" % port))
-        if ports:
-            ops.append(Compute(5 * len(ports), note=FOLDABLE_NOTE))
-        if full or len(ports) > 1:
-            ops.append(BranchHint(0.08, note="pattern-dispatch"))
+        ops.append(Compute(5 * self.n_outputs, note=FOLDABLE_NOTE))
+        ops.append(BranchHint(0.08, note="pattern-dispatch"))
         return Program(self.name, ops)
 
 
@@ -179,20 +162,9 @@ class IPClassifier(Element):
         ]
 
     def ir_program(self) -> Program:
-        return self._ir_for_ports(tuple(range(self.n_outputs)), full=True)
-
-    def specialized_ir(self, live_ports) -> Program:
-        """The dispatch reduced to the live ports (see Classifier)."""
-        return self._ir_for_ports(tuple(live_ports), full=False)
-
-    def _ir_for_ports(self, ports, full: bool) -> Program:
-        ops = []
-        if full or any(self.rules[port] is not None for port in ports):
-            ops.append(DataAccess(23, 1))  # the IPv4 protocol byte
-        for port in ports:
+        ops = [DataAccess(23, 1)]  # the IPv4 protocol byte
+        for port in range(self.n_outputs):
             ops.append(self.param_read_op("rule%d" % port))
-        if ports:
-            ops.append(Compute(6 * len(ports), note=FOLDABLE_NOTE))
-        if full or len(ports) > 1:
-            ops.append(BranchHint(0.06, note="proto-dispatch"))
+        ops.append(Compute(6 * self.n_outputs, note=FOLDABLE_NOTE))
+        ops.append(BranchHint(0.06, note="proto-dispatch"))
         return Program(self.name, ops)

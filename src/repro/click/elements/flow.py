@@ -101,12 +101,6 @@ class PaintSwitch(Element):
             ],
         )
 
-    def specialized_ir(self, live_ports) -> Program:
-        if len(live_ports) == 1:
-            # The route is a build-time constant: no anno load, no branch.
-            return Program(self.name, [Compute(1, note="constant-route")])
-        return self.ir_program()
-
 
 @register
 class Print(Element):

@@ -187,8 +187,3 @@ class LengthSwitch(Element):
                 BranchHint(0.5, note="length-split"),
             ],
         )
-
-    def specialized_ir(self, live_ports) -> Program:
-        if len(live_ports) == 1:
-            return Program(self.name, [Compute(1, note="constant-route")])
-        return self.ir_program()

@@ -61,8 +61,6 @@ _COMPILE_NS = REGISTRY.counter("compile_ns")
 _CACHE_HITS = REGISTRY.counter("memo_hits")
 _SELFCHECKS = REGISTRY.counter("selfchecks")
 _FALLBACKS = REGISTRY.counter("fallbacks")
-_FACTS_APPLIED = REGISTRY.counter("facts_applied")
-_FACTS_BRANCHES = REGISTRY.counter("facts_branches_eliminated")
 
 #: Base-register names, indexed like the (meta, mbuf, descriptor, data,
 #: state) tuple of :func:`execute_bases`.
@@ -373,7 +371,6 @@ def _mangle(name: str) -> str:
 def compile_program(
     program: ExecProgram,
     verify: Optional[Callable[[ExecProgram], None]] = None,
-    facts=None,
 ) -> CompiledProgram:
     """Generate, ``exec``, self-check, and memoize ``program``'s kernels.
 
@@ -381,34 +378,7 @@ def compile_program(
     verifier; it must raise on a program that should not be compiled.
     Any failure, including a self-check mismatch, raises
     :class:`CodegenError`; callers demote to the compiled-tuples tier.
-
-    ``facts`` (a :class:`~repro.compiler.facts.ProgramFacts`) dead-code
-    eliminates the proven-dead slice before generation: the kernels are
-    compiled -- and self-checked against the reference walk -- on the
-    pruned program, so bit-identity with the compiled tier holds exactly
-    when it executes the same pruned program.  Facts-on and facts-off
-    artifacts memoize separately; a facts mismatch raises CodegenError
-    (callers demote, never silently run the unpruned kernel).
     """
-    if facts is not None and not facts.is_empty:
-        from repro.compiler.facts import FactsError
-
-        memo_map = program.__dict__.setdefault("_codegen_facts_memo", {})
-        memo = memo_map.get(facts)
-        if memo is not None:
-            _CACHE_HITS.add(1)
-            return memo
-        try:
-            pruned = facts.apply(program)
-        except FactsError as exc:
-            raise CodegenError(
-                "facts do not apply to %r: %s" % (program.name, exc)
-            ) from exc
-        compiled = compile_program(pruned, verify=verify)
-        memo_map[facts] = compiled
-        _FACTS_APPLIED.add(1)
-        _FACTS_BRANCHES.add(facts.branches_eliminated)
-        return compiled
     memo = program.__dict__.get("_codegen_compiled")
     if memo is not None:
         _CACHE_HITS.add(1)

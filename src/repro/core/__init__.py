@@ -2,13 +2,14 @@
 
 from repro.core.options import BuildOptions, MetadataModel
 from repro.core.packetmill import PacketMill
-from repro.core.profile import RunProfile
+from repro.core.profile import ProfileError, RunProfile
 from repro.core.binary import SpecializedBinary
 
 __all__ = [
     "BuildOptions",
     "MetadataModel",
     "PacketMill",
+    "ProfileError",
     "RunProfile",
     "SpecializedBinary",
 ]

@@ -85,9 +85,8 @@ def guarded_router(burst: int = 32) -> str:
     PaintSwitch whose color was just pinned.  Path-sensitive analysis
     proves ``arpguard``'s IP arm and ``sw``'s port 0 dead
     (``constant-branch``) and drops the false ``paint_anno``
-    use-before-init a port-insensitive merge would report on ``sw``;
-    with ``facts`` enabled the build dead-code-eliminates both
-    dispatches.
+    use-before-init a port-insensitive merge would report on ``sw``.
+    ``python -m repro.analyze guarded-router`` shows the findings.
     """
     return """
     input :: FromDPDKDevice(PORT 0, N_QUEUES 1, BURST %(burst)d);

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.click.driver import (
     DISPATCH_DIRECT,
@@ -43,16 +43,15 @@ from repro.dpdk.nic import Nic
 from repro.dpdk.tinynf import TinyNfModel
 from repro.dpdk.pmd import MlxPmd
 from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
-from repro.faults.watchdog import DEFAULT_THRESHOLD, Watchdog
+from repro.faults.watchdog import Watchdog
 from repro.dpdk.xchg_api import fastclick_conversions
 from repro.exec import cache as exec_cache
 from repro.hw.cpu import CpuCore
 from repro.hw.layout import AddressSpace
 from repro.hw.memory import MemorySystem
-from repro.hw.params import DEFAULT_PARAMS, MachineParams
-from repro.net.trace import CampusTraceGenerator, TraceSpec
-from repro.qos import QosConfig, QosPort
+from repro.hw.params import DEFAULT_PARAMS
+from repro.net.trace import TraceSpec
+from repro.qos import QosPort
 from repro.telemetry import Telemetry, TelemetryConfig
 
 TraceFactory = Callable[[int, int], object]  # (port, core) -> trace generator
@@ -71,33 +70,12 @@ def _default_trace_factory(port: int, core: int):
 class PacketMill:
     """Builds specialized binaries for a Click configuration."""
 
-    def __init__(
-        self,
-        config: str,
-        options: Optional[BuildOptions] = None,
-        params: Optional[MachineParams] = None,
-        trace: Union[None, object, TraceFactory] = None,
-        seed: int = 0,
-        burst: Optional[int] = None,
-        faults: Optional[FaultSchedule] = None,
-        watchdog_threshold: int = DEFAULT_THRESHOLD,
-        telemetry: Union[None, bool, TelemetryConfig] = None,
-        analyze: Union[None, bool, str] = None,
-        qos: Optional[QosConfig] = None,
-        tier=None,
-        n_cores: int = 1,
-        rss=None,
-        facts: Union[None, bool] = None,
-    ):
-        # The keyword surface is a thin shim over RunProfile -- the
-        # documented config object; from_profile() passes one directly.
-        self._apply_profile(config, RunProfile(
-            options=options, params=params, trace=trace, seed=seed,
-            burst=burst, faults=faults,
-            watchdog_threshold=watchdog_threshold, telemetry=telemetry,
-            analyze=analyze, qos=qos, tier=tier, n_cores=n_cores, rss=rss,
-            facts=facts,
-        ))
+    def __init__(self, config: str, /,
+                 options: Optional[BuildOptions] = None, **fields):
+        # Every other keyword is a RunProfile field; RunProfile declares
+        # them (and their defaults) once, and refuses unknown ones.
+        self._apply_profile(config, RunProfile().with_overrides(
+            options=options, **fields))
 
     @classmethod
     def from_profile(cls, config: str, profile: Optional[RunProfile] = None
@@ -136,13 +114,6 @@ class PacketMill:
         # REPRO_ANALYZE=1|error|warn opts a whole run in.
         self._analyze_mode = self._resolve_analyze_mode(profile.analyze)
         self._analysis_report = None
-        # Constant-propagation facts: when on, proven-dead branches are
-        # eliminated from every tier's programs.  Default off;
-        # REPRO_FACTS=1 opts a whole run in.  The per-instance memo holds
-        # the (facts map, constprop stats) pair -- config and options are
-        # fixed per instance, so replica builds share one computation.
-        self._facts_mode = self._resolve_facts_mode(profile.facts)
-        self._facts_memo = None
         # Counter storage is always on (it IS the stats); the optional
         # recorders (windows, attribution, spans) only exist when a
         # config is passed -- observation charges nothing either way.
@@ -176,16 +147,6 @@ class PacketMill:
         raise BuildError(
             "unknown analyze mode %r (expected error/warn/off)" % (analyze,)
         )
-
-    @staticmethod
-    def _resolve_facts_mode(facts) -> bool:
-        if facts is None:
-            facts = os.environ.get("REPRO_FACTS", "")
-        if facts in (False, None) or str(facts).lower() in (
-            "", "0", "false", "off", "no",
-        ):
-            return False
-        return True
 
     def analysis(self):
         """The build's :class:`~repro.analyze.AnalysisReport` (runs the
@@ -249,26 +210,6 @@ class PacketMill:
                 )
 
         return verify
-
-    def _compute_facts(self, pass_manager, registry):
-        """The memoized ``({element: ProgramFacts}, constprop stats)`` pair.
-
-        Config and options are fixed per instance, so one computation
-        serves every replica build (element names are stable across the
-        per-core graph re-parses).
-        """
-        if self._facts_memo is None:
-            from repro.analyze.constprop import (
-                ConstProp,
-                compute_program_facts,
-            )
-
-            graph = ProcessingGraph.from_text(self.config)
-            constprop = ConstProp(graph)
-            facts = compute_program_facts(
-                graph, pass_manager.run, registry, constprop=constprop)
-            self._facts_memo = (facts, dict(constprop.stats))
-        return self._facts_memo
 
     # -- build ------------------------------------------------------------------------
 
@@ -448,39 +389,6 @@ class PacketMill:
         else:
             registry, exec_programs = cached
 
-        # -- constant-propagation facts (opt-in dead-code elimination) --------
-        # Facts are minted against the build's own pass pipeline and the
-        # FINAL registry (reordered or not), so specialized programs lower
-        # to the exact offsets the originals did.  Both tiers run the same
-        # pruned programs, keeping cross-tier bit-identity; the original
-        # exec_programs stay cached and untouched (facts.apply returns new
-        # programs).
-        program_facts = None
-        run_programs = exec_programs
-        if self._facts_mode:
-            program_facts, facts_stats = self._compute_facts(
-                pass_manager, registry)
-            if program_facts:
-                run_programs = {
-                    name: (program_facts[name].apply(program)
-                           if name in program_facts else program)
-                    for name, program in exec_programs.items()
-                }
-                counters = telemetry.registry
-                counters.counter(
-                    "analyze.constprop.programs_specialized"
-                ).add(len(program_facts))
-                counters.counter(
-                    "analyze.constprop.branches_eliminated"
-                ).add(sum(
-                    f.branches_eliminated for f in program_facts.values()))
-                counters.counter(
-                    "analyze.constprop.instructions_eliminated"
-                ).add(sum(
-                    f.dead_instructions for f in program_facts.values()))
-                counters.counter("analyze.constprop.facts_proven").add(
-                    facts_stats.get("constprop.facts_proven", 0))
-
         # -- NICs and PMDs (one queue per port on this core; `ports` was
         # computed and validated up front, right after parsing) ----------------
         # -- fault wiring (inert unless a non-empty schedule was given) --------
@@ -505,24 +413,14 @@ class PacketMill:
         if selection.tier is ExecutionTier.CODEGEN:
             codegen_verify = self._codegen_verifier(registry)
             codegen_map = exec_cache.lookup_codegen(
-                self.config, options, params, facts=program_facts)
+                self.config, options, params)
             if codegen_map is None:
                 try:
-                    # The facts kwarg is passed only for elements that
-                    # actually have facts: codegen prunes, compiles, and
-                    # self-checks those against the reference walk on the
-                    # pruned program -- the same program the driver runs.
-                    codegen_map = {}
-                    for name, program in exec_programs.items():
-                        pf = (program_facts or {}).get(name)
-                        if pf is not None:
-                            codegen_map[name] = _codegen.compile_program(
-                                program, verify=codegen_verify, facts=pf,
-                            )
-                        else:
-                            codegen_map[name] = _codegen.compile_program(
-                                program, verify=codegen_verify,
-                            )
+                    codegen_map = {
+                        name: _codegen.compile_program(
+                            program, verify=codegen_verify)
+                        for name, program in exec_programs.items()
+                    }
                 except _codegen.CodegenError:
                     # One unverifiable element demotes the whole build:
                     # tiers are all-or-nothing per binary so the settled
@@ -535,9 +433,7 @@ class PacketMill:
                     codegen_map = None
                 else:
                     exec_cache.store_codegen(
-                        self.config, options, params, codegen_map,
-                        facts=program_facts,
-                    )
+                        self.config, options, params, codegen_map)
 
         pmds: Dict[int, MlxPmd] = {}
         for port in ports:
@@ -579,7 +475,7 @@ class PacketMill:
 
         dispatch = self._dispatch_policy()
         driver = RouterDriver(
-            graph, cpu, params, run_programs, dispatch, pmds, burst=self.burst,
+            graph, cpu, params, exec_programs, dispatch, pmds, burst=self.burst,
             injector=injector, watchdog=watchdog, telemetry=telemetry,
             qos_ports=qos_ports or None,
             tier=selection, codegen=codegen_map, codegen_verify=codegen_verify,
@@ -595,12 +491,11 @@ class PacketMill:
             space=space,
             pmds=pmds,
             registry=registry,
-            exec_programs=run_programs,
+            exec_programs=exec_programs,
             trace=pmds[ports[0]].nic.trace,
             model=model,
         )
         binary.pass_manager = pass_manager
-        binary.program_facts = program_facts
         binary.injector = injector
         binary.qos_ports = qos_ports
         binary.telemetry = telemetry

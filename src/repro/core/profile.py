@@ -1,9 +1,9 @@
 """RunProfile: one documented config object for a PacketMill build.
 
-Subsystem wiring used to accumulate as ad-hoc ``PacketMill(...)`` keyword
-arguments (``faults=``, ``telemetry=``, ``qos=``, ``analyze=``, ...).
-:class:`RunProfile` consolidates them into a single declarative value that
-can be stored, compared, and passed around:
+:class:`RunProfile` is the one place a build field (``faults``,
+``telemetry``, ``qos``, ``analyze``, ...) is declared, with its default.
+It is a single declarative value that can be stored, compared, and
+passed around:
 
     profile = RunProfile(
         options=BuildOptions.packetmill(),
@@ -13,9 +13,11 @@ can be stored, compared, and passed around:
     )
     binary = PacketMill.from_profile(config, profile).build()
 
-Every field has the same meaning (and default) as the corresponding
-``PacketMill`` keyword, which remains a thin shim over this object, so
-existing call sites keep working unchanged.
+``PacketMill(config, options, **fields)`` forwards its keywords here, so
+``PacketMill(config, telemetry=True)`` and the profile form build the
+same thing.  A keyword that names no field -- in ``PacketMill(...)`` or
+:meth:`RunProfile.with_overrides` -- raises :class:`ProfileError`
+naming it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from repro.hw.params import MachineParams
 from repro.net.rss import RssConfig
 from repro.qos import QosConfig
 from repro.telemetry import TelemetryConfig
+
+
+class ProfileError(ValueError):
+    """A build was given a field that :class:`RunProfile` does not have."""
 
 
 @dataclass
@@ -62,10 +68,6 @@ class RunProfile:
     - ``rss``: the :class:`~repro.net.rss.RssConfig` driving flow
       sharding (key, indirection table size, mempool policy, per-queue
       backlog bound); defaults apply when ``None``.
-    - ``facts``: ``True`` to feed constant-propagation facts into the
-      build -- proven-dead classifier arms and decided switches are
-      dead-code-eliminated from every tier's programs (``REPRO_FACTS``
-      opts whole runs in when ``None``).
     """
 
     options: Optional[BuildOptions] = None
@@ -81,10 +83,18 @@ class RunProfile:
     tier: Union[None, str, ExecutionTier] = None
     n_cores: int = 1
     rss: Optional[RssConfig] = None
-    facts: Union[None, bool] = None
 
-    def with_overrides(self, **changes) -> "RunProfile":
-        """A copy with the given fields replaced (sweep convenience)."""
+    def with_overrides(self, /, **changes) -> "RunProfile":
+        """A copy with the given fields replaced (sweep convenience);
+        an unknown field raises :class:`ProfileError`."""
+        unknown = sorted(set(changes) - _FIELD_NAMES)
+        if unknown:
+            raise ProfileError(
+                "unknown RunProfile field%s %s (known: %s)" % (
+                    "s" if len(unknown) > 1 else "",
+                    ", ".join(map(repr, unknown)),
+                    ", ".join(sorted(_FIELD_NAMES)),
+                ))
         return replace(self, **changes)
 
     def describe(self) -> str:
@@ -97,4 +107,6 @@ class RunProfile:
         return "\n".join(lines) or "(defaults)"
 
 
-__all__ = ["RunProfile"]
+_FIELD_NAMES = frozenset(f.name for f in fields(RunProfile))
+
+__all__ = ["ProfileError", "RunProfile"]

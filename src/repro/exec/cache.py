@@ -209,16 +209,11 @@ def store_build(config: str, options, params, registry, exec_programs) -> None:
 _codegen_cache: Dict[tuple, Dict[str, object]] = {}
 
 
-def lookup_codegen(config: str, options, params, facts=None):
-    """Cached ``{element: CompiledProgram}`` map for a build, if any.
-
-    ``facts`` is the build's ``{element: ProgramFacts}`` map (or ``None``)
-    -- facts-specialized kernels charge differently, so they key
-    separately; an empty map keys identically to ``None``.
-    """
+def lookup_codegen(config: str, options, params):
+    """Cached ``{element: CompiledProgram}`` map for a build, if any."""
     if not enabled():
         return None
-    key = (config, options, params_signature(params), _facts_key(facts))
+    key = (config, options, params_signature(params))
     compiled = _codegen_cache.get(key)
     if compiled is None:
         _CODEGEN_MISSES.add(1)
@@ -227,17 +222,10 @@ def lookup_codegen(config: str, options, params, facts=None):
     return compiled
 
 
-def store_codegen(config: str, options, params, compiled, facts=None) -> None:
+def store_codegen(config: str, options, params, compiled) -> None:
     if not enabled():
         return
-    key = (config, options, params_signature(params), _facts_key(facts))
-    _codegen_cache[key] = compiled
-
-
-def _facts_key(facts):
-    from repro.compiler.facts import facts_signature
-
-    return facts_signature(facts)
+    _codegen_cache[(config, options, params_signature(params))] = compiled
 
 
 # -- point cache ---------------------------------------------------------------

@@ -187,33 +187,16 @@ class SweepEngine:
 
     def __init__(self, jobs: Optional[int] = None, mode: Optional[str] = None):
         self.jobs = jobs if jobs is not None else default_jobs()
-        # Explicit jobs (ctor arg or REPRO_JOBS) are taken at face value;
-        # only the inferred default gets the oversubscription guard below.
-        self.jobs_explicit = jobs is not None or bool(os.environ.get("REPRO_JOBS"))
         self.mode = mode or os.environ.get("REPRO_SWEEP", "auto")
 
     @property
     def parallel(self) -> bool:
         return self.mode != "serial" and self.jobs > 1
 
-    def _effective_jobs(self, specs: Sequence) -> int:
-        """Guard against nested oversubscription: each sharded point
-        simulates ``n_cores`` replicas, so a sweep of wide points keeps
-        total parallelism near ``REPRO_JOBS x n_cores <= cpu_count`` by
-        dividing the inferred worker count by the widest point.  An
-        explicit ``REPRO_JOBS`` (or ``jobs=``) always wins -- the
-        operator asked for it.
-        """
-        if self.jobs_explicit:
-            return self.jobs
-        widest = max((getattr(spec, "n_cores", 1) for spec in specs), default=1)
-        return max(1, self.jobs // max(1, widest))
-
     def run(self, specs: Sequence) -> List:
         specs = list(specs)
         if not self.parallel or len(specs) <= 1:
             return [run_point(spec) for spec in specs]
-        jobs = self._effective_jobs(specs)
         results: List = [None] * len(specs)
         pending: List[int] = []
         for i, spec in enumerate(specs):
@@ -225,7 +208,7 @@ class SweepEngine:
         if pending:
             try:
                 with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending))
+                    max_workers=min(self.jobs, len(pending))
                 ) as pool:
                     mapped = pool.map(run_point, [specs[i] for i in pending])
                     for i, result in zip(pending, mapped):

@@ -63,12 +63,6 @@ def campus_trace_factory(seed: int = 101):
     )
 
 
-def fixed_trace_factory(frame_len: int, seed: int = 101):
-    return lambda port, core: exec_cache.trace_generator(
-        "fixed", frame_len, seed + port + 7 * core
-    )
-
-
 def build_and_measure(
     config: str,
     options: BuildOptions,

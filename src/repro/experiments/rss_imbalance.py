@@ -28,7 +28,9 @@ halfway through the run, the case static RSS can never adapt to).
 Every run starts from a fresh build and drains its finite trace with no
 mid-run resets, so the full sharded conservation audit
 (:func:`repro.faults.audit.sharded_audit`) -- including the per-bucket
-book that crosses every RETA migration -- closes exactly.
+book that crosses every RETA migration -- closes exactly.  Each run is
+one :class:`ImbalancePointSpec`, fanned out by the sweep engine like
+every other experiment's points.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import Dict, List, Optional
 from repro.core.nfs import nat_router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
+from repro.exec.sweep import run_points
 from repro.experiments.common import DUT_FREQ_GHZ, QUICK, Row, Scale, format_rows
 from repro.experiments.result import ExperimentResult
 from repro.faults.audit import assert_sharded_conserved
@@ -222,6 +225,37 @@ def _measure(phase: str, variant: str, skew: Optional[float],
     )
 
 
+@dataclass(frozen=True)
+class ImbalancePointSpec:
+    """One run of the grid as a picklable, hashable sweep point."""
+
+    phase: str
+    variant: str
+    skew: Optional[float]
+    n_packets: int
+    backlog_cap: int
+    config: Optional[str] = None
+
+    def execute(self) -> SteeringPoint:
+        return _measure(self.phase, self.variant, self.skew,
+                        self.n_packets, self.backlog_cap, self.config)
+
+
+def point_specs(n_packets: int, backlog_cap: int,
+                config: Optional[str] = None) -> List[ImbalancePointSpec]:
+    """The grid's points, in result order."""
+    # The static skew sweep (the break).
+    grid = [("stationary", "static", skew) for skew in SKEWS]
+    # The steering variants at heavy skew (the fix), both phases; the
+    # stationary static point is already in the skew sweep.
+    grid += [(phase, variant, HEAVY_SKEW)
+             for phase in PHASES for variant in VARIANTS
+             if not (phase == "stationary" and variant == "static")]
+    return [ImbalancePointSpec(phase, variant, skew, n_packets,
+                               backlog_cap, config)
+            for phase, variant, skew in grid]
+
+
 def run(scale: Scale = QUICK, config: Optional[str] = None,
         smoke: bool = False) -> ImbalanceResult:
     if smoke:
@@ -229,18 +263,7 @@ def run(scale: Scale = QUICK, config: Optional[str] = None,
     else:
         n_packets = max(40_000, scale.trace_packets() * N_CORES)
         backlog_cap = RssConfig().backlog_cap
-    points: List[SteeringPoint] = []
-    # The static skew sweep (the break).
-    for skew in SKEWS:
-        points.append(_measure("stationary", "static", skew,
-                               n_packets, backlog_cap, config))
-    # The steering variants at heavy skew (the fix), both phases.
-    for phase in PHASES:
-        for variant in VARIANTS:
-            if phase == "stationary" and variant == "static":
-                continue  # already measured in the skew sweep
-            points.append(_measure(phase, variant, HEAVY_SKEW,
-                                   n_packets, backlog_cap, config))
+    points = run_points(point_specs(n_packets, backlog_cap, config))
     return ImbalanceResult(points, smoke=smoke, n_packets=n_packets)
 
 

@@ -51,7 +51,6 @@ from repro.telemetry.registry import (
     TelemetryError,
     delta,
     is_glob,
-    merge,
 )
 from repro.telemetry.sampler import PAPER_WINDOW_NS, WindowSampler, WindowSample
 from repro.telemetry.spans import SpanRecorder
@@ -163,7 +162,6 @@ __all__ = [
     "WindowSampler",
     "delta",
     "is_glob",
-    "merge",
     "render_flamegraph",
     "render_top",
     "spans_to_csv",

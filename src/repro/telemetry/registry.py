@@ -181,9 +181,8 @@ class CounterRegistry:
 
         ``merged.get("driver.rx_packets")`` sums the name across every
         child; ``merged.get("core2.driver.rx_packets")`` reads core 2
-        alone.  Unlike :func:`merge` (which sums dict snapshots), the
-        returned registry is *live*: reads see the children's current
-        values, so a control plane can watch a run in flight.
+        alone.  The returned registry is *live*: reads see the children's
+        current values, so a control plane can watch a run in flight.
         """
         return MergedRegistry(registries, prefix=prefix)
 
@@ -335,12 +334,3 @@ class CounterScope:
 def delta(new: Dict[str, Number], old: Dict[str, Number]) -> Dict[str, Number]:
     """Per-name difference of two snapshots (names absent from ``old`` = 0)."""
     return {name: value - old.get(name, 0) for name, value in new.items()}
-
-
-def merge(snapshots: Iterable[Dict[str, Number]]) -> Dict[str, Number]:
-    """Sum snapshots name-wise (aggregating multiple cores/ports)."""
-    total: Dict[str, Number] = {}
-    for snap in snapshots:
-        for name, value in snap.items():
-            total[name] = total.get(name, 0) + value
-    return total

@@ -1,13 +1,25 @@
-"""RunProfile: the consolidated config object behind PacketMill kwargs."""
+"""RunProfile: the one declaration of every PacketMill build field."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler.runtime import ExecutionTier
 from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
-from repro.core.profile import RunProfile
+from repro.core.profile import ProfileError, RunProfile
 from repro.exec import cache as exec_cache
+from repro.faults.schedule import FaultSchedule
 from repro.hw.params import MachineParams
+from repro.net.rss import RssConfig
 from repro.perf.runner import measure_throughput
+from repro.qos import QosConfig
+from repro.telemetry import TelemetryConfig
+
+FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunProfile))
 
 
 def test_defaults_match_packetmill_defaults():
@@ -64,3 +76,66 @@ def test_tier_field_accepts_enum_and_policy():
     for tier in (ExecutionTier.CODEGEN, "codegen", "CODEGEN"):
         mill = PacketMill.from_profile(router(), RunProfile(tier=tier))
         assert mill.tier is ExecutionTier.CODEGEN
+
+
+def _trace_factory(port, core):  # pragma: no cover - never called
+    raise AssertionError("construction must not pull a trace")
+
+
+#: One non-default value per RunProfile field.
+SAMPLE_FIELDS = {
+    "options": BuildOptions.packetmill(),
+    "params": MachineParams().at_frequency(2.3),
+    "trace": _trace_factory,
+    "seed": 3,
+    "burst": 16,
+    "faults": FaultSchedule(),
+    "watchdog_threshold": 7,
+    "telemetry": TelemetryConfig(),
+    "analyze": "warn",
+    "qos": QosConfig(),
+    "tier": "compiled",
+    "n_cores": 2,
+    "rss": RssConfig(),
+}
+
+
+def test_samples_cover_every_field():
+    assert set(SAMPLE_FIELDS) == FIELD_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_FIELDS))
+def test_every_field_is_a_packetmill_keyword(name):
+    value = SAMPLE_FIELDS[name]
+    mill = PacketMill(router(), **{name: value})
+    assert getattr(mill.profile, name) is value
+    assert mill.profile == RunProfile(**{name: value})
+
+
+@pytest.mark.parametrize("name, call", [
+    ("facts", lambda: PacketMill(router(), facts=True)),
+    ("bogus", lambda: PacketMill(router(), bogus=1)),
+    ("bogus", lambda: RunProfile().with_overrides(bogus=1)),
+], ids=["packetmill-facts", "packetmill-bogus", "with-overrides-bogus"])
+def test_unknown_field_is_refused_by_name(name, call):
+    with pytest.raises(ProfileError, match="unknown RunProfile field %r"
+                       % name) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
+def test_every_unknown_field_is_named():
+    with pytest.raises(ProfileError, match="'bogus', 'facts'"):
+        PacketMill(router(), facts=True, seed=1, bogus=2)
+
+
+_identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=_identifiers.filter(lambda name: name not in FIELD_NAMES))
+def test_any_non_field_identifier_is_refused(name):
+    with pytest.raises(ProfileError, match=repr(name)):
+        RunProfile().with_overrides(**{name: 1})
+    with pytest.raises(ProfileError, match=repr(name)):
+        PacketMill(router(), **{name: 1})

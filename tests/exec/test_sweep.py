@@ -117,29 +117,6 @@ class TestEngine:
         assert not SweepEngine().parallel
 
 
-class TestOversubscriptionGuard:
-    """REPRO_JOBS x n_cores must not silently oversubscribe the host."""
-
-    def test_inferred_jobs_divided_by_widest_point(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        engine = SweepEngine(mode="parallel")
-        engine.jobs = 8  # pretend an 8-CPU host
-        engine.jobs_explicit = False
-        specs = [_spec(n_cores=cores) for cores in (1, 2, 4)]
-        assert engine._effective_jobs(specs) == 2
-        assert engine._effective_jobs([_spec()]) == 8
-        # Wider than the host still leaves one worker.
-        assert engine._effective_jobs([_spec(n_cores=16)]) == 1
-
-    def test_explicit_jobs_win(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        engine = SweepEngine(mode="parallel")
-        assert engine.jobs_explicit
-        assert engine._effective_jobs([_spec(n_cores=4)]) == 8
-        ctor = SweepEngine(jobs=6, mode="parallel")
-        assert ctor._effective_jobs([_spec(n_cores=4)]) == 6
-
-
 class TestShardedPoints:
     def test_skewed_trace_key_builds_and_runs(self):
         spec = _spec(trace=TraceKey("skewed", n_flows=5000, skew=1.2),

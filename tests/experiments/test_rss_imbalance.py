@@ -1,11 +1,17 @@
 """Tests for the RSS imbalance + adaptive steering experiment."""
 
+import pickle
+
 import pytest
 
+from repro.exec import cache as exec_cache
+from repro.exec.sweep import run_points
 from repro.experiments import rss_imbalance
 from repro.experiments.common import QUICK
 from repro.experiments.rss_imbalance import (
     HEAVY_SKEW,
+    SMOKE_BACKLOG_CAP,
+    SMOKE_PACKETS,
     ImbalanceResult,
     SteeringPoint,
 )
@@ -59,6 +65,24 @@ class TestExperiment:
     def test_find_unknown_point_raises(self, result):
         with pytest.raises(KeyError):
             result.find("stationary", "static", 9.9)
+
+
+class TestSweepPoints:
+    def test_spec_pickles_and_hashes(self):
+        spec = rss_imbalance.point_specs(SMOKE_PACKETS, SMOKE_BACKLOG_CAP)[0]
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and hash(clone) == hash(spec)
+
+    def test_serial_and_parallel_points_identical(self):
+        specs = rss_imbalance.point_specs(
+            SMOKE_PACKETS, SMOKE_BACKLOG_CAP)[:2]
+        exec_cache.reset_caches()
+        serial = run_points(specs, jobs=1)
+        exec_cache.reset_caches()
+        parallel = run_points(specs, jobs=2, mode="parallel")
+        exec_cache.reset_caches()
+        assert [p.record() for p in serial] == [
+            p.record() for p in parallel]
 
 
 def _point(phase, variant, skew, gbps, arrivals, drops,

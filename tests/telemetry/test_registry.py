@@ -10,7 +10,6 @@ from repro.telemetry.registry import (
     TelemetryError,
     delta,
     is_glob,
-    merge,
 )
 
 pytestmark = pytest.mark.telemetry
@@ -136,7 +135,3 @@ class TestSnapshotAlgebra:
         old = {"a": 1, "b": 5}
         new = {"a": 4, "b": 5, "c": 2}
         assert delta(new, old) == {"a": 3, "b": 0, "c": 2}
-
-    def test_merge(self):
-        snaps = [{"a": 1, "b": 2}, {"a": 10, "c": 3}]
-        assert merge(snaps) == {"a": 11, "b": 2, "c": 3}
