@@ -26,7 +26,6 @@ __all__ = [
     "RunProfile",
     "BuildOptions",
     "MetadataModel",
-    "ExecutionTier",
     "FaultSchedule",
     "FaultSpec",
     "ShardedRuntime",
@@ -47,7 +46,6 @@ _LAZY = {
     "RunProfile": ("repro.core.profile", "RunProfile"),
     "BuildOptions": ("repro.core.options", "BuildOptions"),
     "MetadataModel": ("repro.core.options", "MetadataModel"),
-    "ExecutionTier": ("repro.compiler.runtime", "ExecutionTier"),
     "FaultSchedule": ("repro.faults.schedule", "FaultSchedule"),
     "FaultSpec": ("repro.faults.schedule", "FaultSpec"),
     "ShardedRuntime": ("repro.core.sharded", "ShardedRuntime"),

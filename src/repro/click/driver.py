@@ -21,14 +21,8 @@ from typing import Dict, List, Optional
 
 from repro.click.element import Element
 from repro.click.graph import ProcessingGraph
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import ExecProgram
-from repro.compiler.runtime import (
-    ExecutionTier,
-    TierSelection,
-    execute_bases,
-    select_tier,
-)
+from repro.compiler.runtime import execute_bases
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import DRIVER_BUCKET
 from repro.telemetry.registry import CounterRegistry
@@ -273,9 +267,6 @@ class RouterDriver:
         watchdog=None,
         telemetry: Optional[Telemetry] = None,
         qos_ports: Optional[Dict[int, "QosPort"]] = None,  # noqa: F821
-        tier=None,
-        codegen: Optional[Dict[str, "_codegen.CompiledProgram"]] = None,
-        codegen_verify=None,
         layout_registry=None,
     ):
         self.graph = graph
@@ -298,33 +289,6 @@ class RouterDriver:
         self.sampler = telemetry.sampler
         self.spans = telemetry.spans
         self.stats = RunStats(self.registry)
-        # Execution tier, resolved in ONE place (select_tier): the
-        # generated-code tier falls back to the compiled tier when faults
-        # or a watchdog instrument the run.  PacketMill passes a
-        # pre-resolved TierSelection; standalone constructions resolve
-        # the requested tier/environment here.
-        if isinstance(tier, TierSelection):
-            selection = tier
-        else:
-            selection = select_tier(
-                tier,
-                faults=injector is not None,
-                watchdog=watchdog is not None,
-            )
-        self.tier_selection = selection
-        self.tier = selection.tier
-        _codegen.record_tier(selection.tier.value)
-        if selection.demoted:
-            _codegen.record_fallback()
-        self._codegen_verify = codegen_verify
-        # element name -> generated batch kernel, False once compilation
-        # failed (that element stays on the compiled tier).
-        self._batch_fns: Optional[Dict[str, object]] = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            self._batch_fns = {}
-            if codegen:
-                for name, compiled in codegen.items():
-                    self._batch_fns[name] = compiled.batch
         self._layout_registry = layout_registry
         self._hw_base: Dict[str, int] = {}
         self.rx_elements: List[Element] = []
@@ -437,26 +401,6 @@ class RouterDriver:
             if attribution is not None:
                 attribution.sync("element." + element.name)
 
-    def _batch_kernel(self, name: str, program: ExecProgram):
-        """The generated batch kernel for one element, compiled lazily.
-
-        PacketMill pre-compiles (and IR-verifies) every element at build
-        time; this path covers directly constructed drivers.  A compile
-        failure parks the element on the compiled tier for good and
-        counts one fallback.
-        """
-        try:
-            compiled = _codegen.compile_program(
-                program, verify=self._codegen_verify
-            )
-        except _codegen.CodegenError:
-            _codegen.record_fallback()
-            self._batch_fns[name] = False
-            return False
-        fn = compiled.batch
-        self._batch_fns[name] = fn
-        return fn
-
     def _charge_element(self, element: Element, batch: List) -> None:
         attribution = self.attribution
         if attribution is not None:
@@ -466,15 +410,6 @@ class RouterDriver:
             program = self.exec_programs[element.name]
             state = element.state_region.base if element.state_region else 0
             cpu = self.cpu
-            batch_fns = self._batch_fns
-            if batch_fns is not None:
-                fn = batch_fns.get(element.name)
-                if fn is None:
-                    fn = self._batch_kernel(element.name, program)
-                if fn is not False:
-                    # Generated-code tier: one call charges the batch.
-                    fn(cpu, batch, state)
-                    return
             for pkt in batch:
                 ref = pkt.mbuf
                 if ref is not None:

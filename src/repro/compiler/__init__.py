@@ -12,19 +12,11 @@ field a byte offset, so the LTO field-reordering pass has its real effect:
 hot fields migrate into the first cache line and fewer lines are loaded
 per packet.
 
-Execution happens through one of two bit-identical tiers behind the
-:class:`~repro.compiler.runtime.ExecutionTier` API: the cached op-tuple
-loop (the default), or per-program generated Python
-(:mod:`repro.compiler.codegen`) with constants and offsets baked in --
-the runtime analogue of the paper's source-code specialization.
+Every build charges a lowered program through one loop,
+:func:`~repro.compiler.runtime.execute_bases`, over the program's cached
+op tuples.
 """
 
-from repro.compiler.runtime import (
-    DEFAULT_TIER,
-    ExecutionTier,
-    TierSelection,
-    select_tier,
-)
 from repro.compiler.ir import (
     BranchHint,
     Compute,
@@ -44,10 +36,8 @@ from repro.compiler.structlayout import Field, LayoutRegistry, StructLayout
 __all__ = [
     "BranchHint",
     "Compute",
-    "DEFAULT_TIER",
     "DataAccess",
     "DirectCall",
-    "ExecutionTier",
     "Field",
     "FieldAccess",
     "LayoutRegistry",
@@ -58,7 +48,5 @@ __all__ = [
     "RandomAccess",
     "StateAccess",
     "StructLayout",
-    "TierSelection",
     "VirtualCall",
-    "select_tier",
 ]

@@ -1,11 +1,13 @@
 """Trace-compilation of lowered programs into generated Python.
 
-This is the second execution tier.  The default tier,
-:func:`~repro.compiler.runtime.execute_bases`, loops over each program's
-cached op tuples; this module goes the rest of the way and *compiles* each
-:class:`~repro.compiler.lower.ExecProgram` into specialized Python
-source -- the simulator's analogue of the paper's source-level code
-specialization:
+No build reaches this module: its kernels won their own microbenchmark
+but ran whole QUICK figures at about 0.8x of
+:func:`~repro.compiler.runtime.execute_bases`; it stays only while the
+harness benchmark's tracer lists it as an entry point.
+
+The module *compiles* each :class:`~repro.compiler.lower.ExecProgram`
+into specialized Python source -- the simulator's analogue of the
+paper's source-level code specialization:
 
 - **constant embedding**: instruction totals, branch-miss expectations,
   field offsets, access sizes, and random-walk footprints are baked into
@@ -19,12 +21,9 @@ specialization:
 Each program yields two functions via ``compile()``/``exec``:
 
 - a **scalar** kernel ``fn(cpu, meta, mbuf, descriptor, data, state)``
-  with the same contract as :func:`execute_bases` (the PMD burst loops
-  call it once per packet), and
+  with the same contract as :func:`execute_bases`, and
 - a **batch** kernel ``fn(cpu, batch, state)`` that moves the per-packet
-  loop *and* the mbuf base unpacking inside the generated code (the
-  driver's ``_charge_element`` calls it once per batch) -- the
-  batch-vectorized variant for element chains.
+  loop *and* the mbuf base unpacking inside the generated code.
 
 Both kernels charge the exact same sequence of costs as the reference
 walk :func:`~repro.compiler.runtime.execute_interpreted`; the inlined
@@ -34,13 +33,11 @@ compile-time **self-check** replays every freshly generated kernel and the
 reference walk against shadow cores and refuses the artifact unless their
 states match exactly.
 
-The caller may pass a ``verify`` hook (the PR 5 IR verifier, injected by
-``repro.core`` so this layer stays below ``repro.analyze``); it runs
-before every generation, and any failure surfaces as a
-:class:`CodegenError` the execution tiers catch to fall back one tier.
+The caller may pass a ``verify`` hook (for example the IR verifier); it
+runs before every generation, and any failure surfaces as a
+:class:`CodegenError`.
 
-Compile counters live in a module-level registry surfaced through
-handler brokers as ``exec.codegen.*``.
+Compile counters live in a module-level registry (:func:`stats`).
 """
 
 from __future__ import annotations
@@ -53,14 +50,13 @@ from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import TARGET_INDEX, execute_interpreted
 from repro.telemetry.registry import CounterRegistry
 
-#: Process-wide codegen statistics (``exec.codegen.*`` through brokers).
+#: Process-wide codegen statistics.
 REGISTRY = CounterRegistry()
 
 _COMPILES = REGISTRY.counter("compiles")
 _COMPILE_NS = REGISTRY.counter("compile_ns")
 _CACHE_HITS = REGISTRY.counter("memo_hits")
 _SELFCHECKS = REGISTRY.counter("selfchecks")
-_FALLBACKS = REGISTRY.counter("fallbacks")
 
 #: Base-register names, indexed like the (meta, mbuf, descriptor, data,
 #: state) tuple of :func:`execute_bases`.
@@ -74,16 +70,6 @@ _UNROLL_LIMIT = 8
 
 class CodegenError(RuntimeError):
     """The program cannot be (or failed to be) trace-compiled."""
-
-
-def record_fallback(count: int = 1) -> None:
-    """Count one tier demotion (compile failure, faults, watchdog)."""
-    _FALLBACKS.add(count)
-
-
-def record_tier(tier_name: str) -> None:
-    """Count one driver construction that settled on ``tier_name``."""
-    REGISTRY.counter("tier_" + tier_name).add(1)
 
 
 def stats() -> dict:
@@ -377,7 +363,7 @@ def compile_program(
     ``verify`` (when given) runs before generation -- the injected IR
     verifier; it must raise on a program that should not be compiled.
     Any failure, including a self-check mismatch, raises
-    :class:`CodegenError`; callers demote to the compiled-tuples tier.
+    :class:`CodegenError`.
     """
     memo = program.__dict__.get("_codegen_compiled")
     if memo is not None:
@@ -427,8 +413,6 @@ __all__ = [
     "compile_program",
     "generate_batch_source",
     "generate_scalar_source",
-    "record_fallback",
-    "record_tier",
     "reset_stats",
     "stats",
 ]

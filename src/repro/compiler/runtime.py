@@ -14,30 +14,11 @@ the whole tuple goes, with the packet's base addresses, to
 hardware model charges the rows in order and adds each op's cost to the
 core's running totals, so the result is bit-identical to one ``access``
 call per op -- which is what :func:`execute_interpreted`, the reference
-walk over the lowered ``MemOp`` dataclasses, does.  The generated-code
-self-check replays kernels against that reference.
-
-This module is also home to the **execution-tier API**.  Programs are
-charged by one of two bit-identical tiers:
-
-- :data:`ExecutionTier.COMPILED` -- the cached op-tuple loop
-  (:func:`execute_bases`), the default;
-- :data:`ExecutionTier.CODEGEN` -- per-program generated Python
-  (:mod:`repro.compiler.codegen`), constants and offsets baked into
-  specialized source.
-
-:func:`select_tier` is the one place the tier is decided: callers
-describe their instrumentation (faults, watchdog) and get back a
-:class:`TierSelection` with the effective tier.  ``REPRO_TIER`` picks the
-requested tier per process.
+walk over the lowered ``MemOp`` dataclasses, does.  Every build charges
+its programs through :func:`execute_bases`.
 """
 
 from __future__ import annotations
-
-import enum
-import os
-from dataclasses import dataclass
-from typing import Optional, Union
 
 from repro.compiler.lower import (
     TARGET_DATA,
@@ -144,92 +125,9 @@ def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,
             cpu.random_access(footprint, 0.0)
 
 
-# -- execution tiers -----------------------------------------------------------
-
-
-class ExecutionTier(enum.Enum):
-    """How lowered programs are charged to the hardware model."""
-
-    COMPILED = "compiled"
-    CODEGEN = "codegen"
-
-
-#: Escalation order; falling back means moving left.
-TIER_ORDER = (
-    ExecutionTier.COMPILED,
-    ExecutionTier.CODEGEN,
-)
-
-DEFAULT_TIER = ExecutionTier.COMPILED
-
-
-def as_tier(value: Union[None, str, "ExecutionTier"]) -> Optional[ExecutionTier]:
-    """Coerce a user-facing tier spelling to the enum (``None`` passes)."""
-    if value is None or isinstance(value, ExecutionTier):
-        return value
-    try:
-        return ExecutionTier(str(value).lower())
-    except ValueError:
-        raise ValueError(
-            "unknown execution tier %r (expected %s)"
-            % (value, "/".join(t.value for t in TIER_ORDER))
-        ) from None
-
-
-def tier_from_env() -> Optional[ExecutionTier]:
-    """The process-wide requested tier (``REPRO_TIER``), if set."""
-    raw = os.environ.get("REPRO_TIER", "").strip()
-    if not raw:
-        return None
-    return as_tier(raw)
-
-
-@dataclass(frozen=True)
-class TierSelection:
-    """The effective execution decisions for one driver/PMD build."""
-
-    tier: ExecutionTier
-    requested: ExecutionTier
-    demoted: bool = False
-    reason: str = ""
-
-
-def select_tier(
-    tier: Union[None, str, ExecutionTier] = None,
-    *,
-    faults: bool = False,
-    watchdog: bool = False,
-) -> TierSelection:
-    """Resolve the effective tier for one build.
-
-    ``tier`` defers to ``REPRO_TIER`` (then :data:`DEFAULT_TIER`) when
-    ``None``.  The generated-code tier self-disables (falls back to the
-    compiled tier) when fault injection or watchdog recovery is active:
-    instrumented runs keep the op-tuple loops.
-    """
-    requested = as_tier(tier)
-    if requested is None:
-        requested = tier_from_env() or DEFAULT_TIER
-    if requested is ExecutionTier.CODEGEN and (faults or watchdog):
-        return TierSelection(
-            tier=ExecutionTier.COMPILED,
-            requested=requested,
-            demoted=True,
-            reason="faults" if faults else "watchdog",
-        )
-    return TierSelection(tier=requested, requested=requested)
-
-
 __all__ = [
-    "DEFAULT_TIER",
-    "ExecutionTier",
-    "TIER_ORDER",
     "TARGET_INDEX",
-    "TierSelection",
-    "as_tier",
     "compiled_ops",
     "execute_bases",
     "execute_interpreted",
-    "select_tier",
-    "tier_from_env",
 ]

@@ -18,8 +18,6 @@ Stages, mirroring the figure:
 
 from __future__ import annotations
 
-import os
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.click.driver import (
@@ -30,10 +28,8 @@ from repro.click.driver import (
     RouterDriver,
 )
 from repro.click.graph import ProcessingGraph
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import lower
 from repro.compiler.passes import reorder_metadata
-from repro.compiler.runtime import ExecutionTier, as_tier, select_tier
 from repro.compiler.structlayout import LayoutRegistry
 from repro.core.binary import SpecializedBinary
 from repro.core.options import BuildOptions, MetadataModel
@@ -46,6 +42,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.watchdog import Watchdog
 from repro.dpdk.xchg_api import fastclick_conversions
 from repro.exec import cache as exec_cache
+from repro.exec import env as exec_env
 from repro.hw.cpu import CpuCore
 from repro.hw.layout import AddressSpace
 from repro.hw.memory import MemorySystem
@@ -94,10 +91,6 @@ class PacketMill:
         self.burst = profile.burst or self.options.burst
         self.faults = profile.faults
         self.watchdog_threshold = profile.watchdog_threshold
-        # Requested execution tier (None defers to REPRO_TIER / default);
-        # resolved per core at build time, when the instrumentation that
-        # can demote a tier (faults, watchdog) is known.
-        self.tier = as_tier(profile.tier)
         # RSS sharding: n_cores > 1 makes build_runtime() return an
         # N-replica ShardedRuntime; rss carries the steering knobs.
         self.n_cores = profile.n_cores
@@ -132,21 +125,18 @@ class PacketMill:
     @staticmethod
     def _resolve_analyze_mode(analyze) -> Optional[str]:
         if analyze is None:
-            analyze = os.environ.get("REPRO_ANALYZE", "")
-        if analyze in (False, None) or str(analyze).lower() in (
-            "", "0", "false", "off", "no",
-        ):
-            return None
+            return exec_env.analyze_mode()
         if analyze is True:
             return "error"
-        mode = str(analyze).lower()
-        if mode in ("1", "true", "on", "yes", "error"):
-            return "error"
-        if mode in ("warn", "warning", "report"):
-            return "warn"
-        raise BuildError(
-            "unknown analyze mode %r (expected error/warn/off)" % (analyze,)
-        )
+        if not analyze:
+            return None
+        try:
+            return exec_env.ANALYZE_MODES[str(analyze).lower()]
+        except KeyError:
+            raise BuildError(
+                "unknown analyze mode %r (expected error/warn/off)"
+                % (analyze,)
+            ) from None
 
     def analysis(self):
         """The build's :class:`~repro.analyze.AnalysisReport` (runs the
@@ -187,30 +177,6 @@ class PacketMill:
 
         return PassManager.from_options(self.options)
 
-    @staticmethod
-    def _codegen_verifier(registry: LayoutRegistry):
-        """The IR verifier as a codegen ``verify`` hook.
-
-        Built here because ``repro.compiler`` sits below ``repro.analyze``
-        in the layering; codegen itself only receives an opaque callable
-        and runs it before every generation.
-        """
-        from repro.analyze.findings import ERROR
-        from repro.analyze.verifier import verify_exec_program
-
-        def verify(program):
-            findings = [
-                f for f in verify_exec_program(program, registry)
-                if f.severity == ERROR
-            ]
-            if findings:
-                raise _codegen.CodegenError(
-                    "IR verification refused codegen of %r:\n%s"
-                    % (program.name, "\n".join(str(f) for f in findings))
-                )
-
-        return verify
-
     # -- build ------------------------------------------------------------------------
 
     def build(self) -> SpecializedBinary:
@@ -230,7 +196,7 @@ class PacketMill:
         port, Toeplitz-steered across ``n_cores`` per-core replicas.
 
         Every replica is a full :class:`SpecializedBinary` (own CpuCore,
-        PMDs, driver, execution tier) built by the same ``_build_core``
+        PMDs, driver) built by the same ``_build_core``
         path as :meth:`build`; what changes is the trace wiring -- each
         replica's NIC pulls from its :class:`~repro.dpdk.nic.QueueTrace`
         view of the port's :class:`~repro.dpdk.nic.MultiQueueNic` -- and
@@ -402,39 +368,6 @@ class PacketMill:
                 injector.bind_mempool(model.mempool)
             watchdog = Watchdog(self.watchdog_threshold)
 
-        # -- execution tier (resolved ONCE; PMDs and driver share it) ----------
-        selection = select_tier(
-            self.tier,
-            faults=injector is not None,
-            watchdog=watchdog is not None,
-        )
-        codegen_verify = None
-        codegen_map = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            codegen_verify = self._codegen_verifier(registry)
-            codegen_map = exec_cache.lookup_codegen(
-                self.config, options, params)
-            if codegen_map is None:
-                try:
-                    codegen_map = {
-                        name: _codegen.compile_program(
-                            program, verify=codegen_verify)
-                        for name, program in exec_programs.items()
-                    }
-                except _codegen.CodegenError:
-                    # One unverifiable element demotes the whole build:
-                    # tiers are all-or-nothing per binary so the settled
-                    # tier is meaningful in reports.  The driver counts
-                    # the demotion (it sees ``demoted``).
-                    selection = replace(
-                        selection, tier=ExecutionTier.COMPILED,
-                        demoted=True, reason="codegen compile failed",
-                    )
-                    codegen_map = None
-                else:
-                    exec_cache.store_codegen(
-                        self.config, options, params, codegen_map)
-
         pmds: Dict[int, MlxPmd] = {}
         for port in ports:
             trace = self._trace_factory(port, core_id)
@@ -447,8 +380,6 @@ class PacketMill:
                 lto=options.lto,
                 vectorized=options.vectorized_pmd,
                 pgo=options.pgo,
-                tier=selection,
-                codegen_verify=codegen_verify,
             )
 
         # -- QoS buffer pools (absent unless a config was given) ---------------
@@ -478,7 +409,6 @@ class PacketMill:
             graph, cpu, params, exec_programs, dispatch, pmds, burst=self.burst,
             injector=injector, watchdog=watchdog, telemetry=telemetry,
             qos_ports=qos_ports or None,
-            tier=selection, codegen=codegen_map, codegen_verify=codegen_verify,
             layout_registry=registry,
         )
         binary = SpecializedBinary(

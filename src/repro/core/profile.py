@@ -9,7 +9,6 @@ passed around:
         options=BuildOptions.packetmill(),
         params=MachineParams(freq_ghz=2.3),
         telemetry=TelemetryConfig(),
-        tier="codegen",
     )
     binary = PacketMill.from_profile(config, profile).build()
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Union
 
-from repro.compiler.runtime import ExecutionTier
 from repro.core.options import BuildOptions
 from repro.faults.schedule import FaultSchedule
 from repro.faults.watchdog import DEFAULT_THRESHOLD
@@ -60,8 +58,6 @@ class RunProfile:
       at build time (``REPRO_ANALYZE`` opts whole runs in).
     - ``qos``: a :class:`~repro.qos.QosConfig` for ingress buffer carving
       and PFC; every QoS hook is unreachable when ``None``.
-    - ``tier``: requested :class:`ExecutionTier` or its spelling
-      (``REPRO_TIER`` applies when ``None``).
     - ``n_cores``: replica count; ``> 1`` makes
       :meth:`PacketMill.build_runtime` return the RSS-sharded
       :class:`~repro.core.sharded.ShardedRuntime` instead of one binary.
@@ -80,7 +76,6 @@ class RunProfile:
     telemetry: Union[None, bool, TelemetryConfig] = None
     analyze: Union[None, bool, str] = None
     qos: Optional[QosConfig] = None
-    tier: Union[None, str, ExecutionTier] = None
     n_cores: int = 1
     rss: Optional[RssConfig] = None
 

@@ -5,7 +5,7 @@ with N independent traces and summing their numbers.  A
 :class:`ShardedRuntime` is the real thing: one arrival stream per
 physical port, hashed and steered by :class:`~repro.dpdk.nic.MultiQueueNic`
 across N RX queues, each queue feeding one complete per-core replica
-(CpuCore + PMDs + RouterDriver, any execution tier), all stepped
+(CpuCore + PMDs + RouterDriver), all stepped
 round-robin under simulated time so their cache footprints genuinely
 contend in the shared LLC.
 
@@ -235,9 +235,8 @@ class ShardedRuntime:
         for index, binary in enumerate(self.replicas):
             stats = binary.driver.stats
             lines.append(
-                "  core %d: tier=%s rx=%d tx=%d drops=%d"
-                % (index, binary.driver.tier.value, stats.rx_packets,
-                   stats.tx_packets, stats.drops))
+                "  core %d: rx=%d tx=%d drops=%d"
+                % (index, stats.rx_packets, stats.tx_packets, stats.drops))
         return "\n".join(lines)
 
 

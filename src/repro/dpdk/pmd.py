@@ -12,15 +12,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.compiler import codegen as _codegen
 from repro.compiler.lower import ExecProgram, lower
 from repro.compiler.passes import inline_calls, profile_guided, vectorize
-from repro.compiler.runtime import (
-    ExecutionTier,
-    TierSelection,
-    execute_bases,
-    select_tier,
-)
+from repro.compiler.runtime import execute_bases
 from repro.compiler.structlayout import LayoutRegistry
 from repro.dpdk.metadata import MetadataModel
 from repro.dpdk.nic import Nic
@@ -46,8 +40,6 @@ class MlxPmd:
         lto: bool = False,
         vectorized: bool = False,
         pgo: bool = False,
-        tier=None,
-        codegen_verify=None,
     ):
         self.nic = nic
         self.model = model
@@ -67,29 +59,6 @@ class MlxPmd:
             tx_ir = profile_guided(tx_ir)
         self.rx_exec: ExecProgram = lower(rx_ir, registry)
         self.tx_exec: ExecProgram = lower(tx_ir, registry)
-        # Execution tier: PacketMill passes its resolved TierSelection so
-        # PMDs and driver always agree; standalone PMDs resolve from the
-        # policy/environment, demoting codegen if a fault injector is
-        # already bound to the NIC.
-        if isinstance(tier, TierSelection):
-            selection = tier
-        else:
-            selection = select_tier(
-                tier, faults=getattr(nic, "faults", None) is not None
-            )
-        self.tier = selection.tier
-        # Generated scalar kernels for the RX/TX conversion programs; a
-        # compile failure falls back to the compiled op-tuple tier.
-        self._rx_fn = self._tx_fn = None
-        if selection.tier is ExecutionTier.CODEGEN:
-            try:
-                self._rx_fn = _codegen.compile_program(
-                    self.rx_exec, verify=codegen_verify).scalar
-                self._tx_fn = _codegen.compile_program(
-                    self.tx_exec, verify=codegen_verify).scalar
-            except _codegen.CodegenError:
-                _codegen.record_fallback()
-                self._rx_fn = self._tx_fn = None
         # Optional repro.telemetry.SpanRecorder; when bound, rx_burst
         # brackets its DMA and conversion stages as nested spans.
         self.spans = None
@@ -125,7 +94,6 @@ class MlxPmd:
             spans.pop()
             spans.push("convert")
         out: List[Packet] = []
-        rx_fn = self._rx_fn
         for ref, pkt in delivered:
             if pkt.rx_error is not None:
                 # Hardware offload validation: damaged frames are flagged
@@ -153,12 +121,8 @@ class MlxPmd:
                 self.cpu.prefetch(ref.mbuf_addr, 128)
             self.cpu.prefetch(ref.meta_addr, 128)
             self.cpu.prefetch(ref.data_addr, 128)
-            if rx_fn is not None:
-                rx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, ref.cqe_addr,
-                      ref.data_addr, 0)
-            else:
-                execute_bases(self.cpu, self.rx_exec, ref.meta_addr,
-                              ref.mbuf_addr, ref.cqe_addr, ref.data_addr, 0)
+            execute_bases(self.cpu, self.rx_exec, ref.meta_addr,
+                          ref.mbuf_addr, ref.cqe_addr, ref.data_addr, 0)
             pkt.mbuf = ref
             out.append(pkt)
         if spans is not None:
@@ -177,7 +141,6 @@ class MlxPmd:
         self.cpu.charge_compute(BURST_OVERHEAD_INSTRUCTIONS)
         injector = self.nic.faults
         blocked = injector is not None and injector.tx_blocked(self.nic.port)
-        tx_fn = self._tx_fn
         sent = 0
         for pkt in packets:
             ref = pkt.mbuf
@@ -189,12 +152,8 @@ class MlxPmd:
                 self.nic.counters.tx_full += len(packets) - sent
                 break
             wqe_addr = self.nic.transmit(ref, len(pkt))
-            if tx_fn is not None:
-                tx_fn(self.cpu, ref.meta_addr, ref.mbuf_addr, wqe_addr,
-                      ref.data_addr, 0)
-            else:
-                execute_bases(self.cpu, self.tx_exec, ref.meta_addr,
-                              ref.mbuf_addr, wqe_addr, ref.data_addr, 0)
+            execute_bases(self.cpu, self.tx_exec, ref.meta_addr,
+                          ref.mbuf_addr, wqe_addr, ref.data_addr, 0)
             ticket = pkt.qos_ticket
             if ticket is not None:
                 # Transmitted: the frame leaves the ingress buffer.

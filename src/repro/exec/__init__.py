@@ -1,8 +1,10 @@
 """Execution infrastructure: content-keyed caches and the parallel sweep
 engine the experiment suite runs on.
 
-- :mod:`repro.exec.cache` -- build/trace/codegen/point caches with
+- :mod:`repro.exec.cache` -- build/trace/point caches with
   hit/miss counters exposed under ``exec.cache.*``.
+- :mod:`repro.exec.env` -- the ``REPRO_*`` environment variables, read
+  and validated in one place.
 - :mod:`repro.exec.sweep` -- picklable sweep points and the
   :class:`~repro.exec.sweep.SweepEngine` process-pool fan-out.
 

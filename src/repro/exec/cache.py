@@ -1,6 +1,6 @@
 """Content-keyed caches for the experiment suite.
 
-Four layers, each bit-exact by construction:
+Three layers, each bit-exact by construction:
 
 - **Trace cache.**  Building a trace generator costs a pool of a couple
   thousand serialized frames.  The pool, the flow population, and the
@@ -21,12 +21,6 @@ Four layers, each bit-exact by construction:
   it only scales time, never code: that is what lets a frequency sweep
   compile once.
 
-- **Codegen cache.**  The generated-code tier's per-build artifact map
-  (``{element: CompiledProgram}``) is a pure function of the same key as
-  the build cache -- generated source bakes in offsets and charge
-  constants, never the frequency -- so replica cores and sweep siblings
-  under ``REPRO_TIER=codegen`` compile each element once per process.
-
 - **Point cache.**  A whole measured sweep point
   (:class:`repro.exec.sweep.PointSpec` -> :class:`ThroughputPoint`) is
   deterministic in its spec, so repeated points (Table 1 reuses Fig. 4's
@@ -38,16 +32,16 @@ any :class:`~repro.click.handlers.HandlerBroker` under the virtual
 ``exec.cache.*`` namespace.
 
 Environment gate (checked per call, so tests can flip it):
-``REPRO_CACHE=0`` disables every layer.
+``REPRO_CACHE=0`` disables every layer (see :mod:`repro.exec.env`).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Tuple
 
+from repro.exec.env import cache_enabled
 from repro.net.flows import FlowSet
 from repro.net.trace import _ZIPF_CDFS, CampusTraceGenerator, FixedSizeTraceGenerator, TraceSpec
 from repro.telemetry.registry import CounterRegistry
@@ -61,15 +55,6 @@ _BUILD_HITS = REGISTRY.counter("build_hits")
 _BUILD_MISSES = REGISTRY.counter("build_misses")
 _POINT_HITS = REGISTRY.counter("point_hits")
 _POINT_MISSES = REGISTRY.counter("point_misses")
-_CODEGEN_HITS = REGISTRY.counter("codegen_hits")
-_CODEGEN_MISSES = REGISTRY.counter("codegen_misses")
-
-_OFF = ("0", "false", "off", "no")
-
-
-def enabled() -> bool:
-    """Whether the caches are on (``REPRO_CACHE`` is not ``0``)."""
-    return os.environ.get("REPRO_CACHE", "").lower() not in _OFF
 
 
 # -- trace cache ---------------------------------------------------------------
@@ -142,7 +127,7 @@ def trace_from_spec(kind: str, frame_len: Optional[int], spec: TraceSpec):
             return cls(frame_len, spec)
         return cls(spec)
 
-    if not enabled():
+    if not cache_enabled():
         return fresh()
     key = _trace_key(kind, frame_len, spec)
     snap = _trace_cache.get(key)
@@ -186,7 +171,7 @@ def params_signature(params) -> tuple:
 
 def lookup_build(config: str, options, params):
     """Cached ``(layout registry, exec programs)`` for a build, if any."""
-    if not enabled():
+    if not cache_enabled():
         return None
     artifacts = _build_cache.get((config, options, params_signature(params)))
     if artifacts is None:
@@ -197,35 +182,11 @@ def lookup_build(config: str, options, params):
 
 
 def store_build(config: str, options, params, registry, exec_programs) -> None:
-    if not enabled():
+    if not cache_enabled():
         return
     _build_cache[(config, options, params_signature(params))] = (
         registry, exec_programs,
     )
-
-
-# -- codegen cache -------------------------------------------------------------
-
-_codegen_cache: Dict[tuple, Dict[str, object]] = {}
-
-
-def lookup_codegen(config: str, options, params):
-    """Cached ``{element: CompiledProgram}`` map for a build, if any."""
-    if not enabled():
-        return None
-    key = (config, options, params_signature(params))
-    compiled = _codegen_cache.get(key)
-    if compiled is None:
-        _CODEGEN_MISSES.add(1)
-        return None
-    _CODEGEN_HITS.add(1)
-    return compiled
-
-
-def store_codegen(config: str, options, params, compiled) -> None:
-    if not enabled():
-        return
-    _codegen_cache[(config, options, params_signature(params))] = compiled
 
 
 # -- point cache ---------------------------------------------------------------
@@ -235,7 +196,7 @@ _point_cache: Dict[object, object] = {}
 
 def point_get(spec):
     """Cached measurement for a hashable sweep point, or ``None``."""
-    if not enabled():
+    if not cache_enabled():
         return None
     result = _point_cache.get(spec)
     if result is None:
@@ -246,7 +207,7 @@ def point_get(spec):
 
 
 def point_put(spec, result) -> None:
-    if enabled() and result is not None:
+    if cache_enabled() and result is not None:
         _point_cache[spec] = result
 
 
@@ -256,7 +217,6 @@ def reset_caches() -> None:
     """Drop every cached artifact and zero the counters (tests, benches)."""
     _trace_cache.clear()
     _build_cache.clear()
-    _codegen_cache.clear()
     _point_cache.clear()
     _ZIPF_CDFS.clear()
     REGISTRY.reset()

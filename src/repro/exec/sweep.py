@@ -10,7 +10,8 @@ per point -- points never share simulator state, which is what makes the
 fan-out sound).
 
 Worker count comes from ``REPRO_JOBS`` (else the CPU count); set
-``REPRO_SWEEP=serial`` (or ``jobs=1``) to force in-process execution.
+``REPRO_SWEEP=serial`` (or ``jobs=1``) to force in-process execution
+(both are read through :mod:`repro.exec.env`).
 Pool infrastructure failures (sandboxed environments without working
 ``fork``, pickling regressions) degrade to the serial path rather than
 failing the experiment.
@@ -31,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
-from repro.exec import cache
+from repro.exec import cache, env
 from repro.hw.params import MachineParams
 from repro.net.rss import RssConfig
 from repro.perf.runner import measure_sharded, measure_throughput
@@ -86,7 +87,7 @@ class TraceKey:
         return lambda port, core: cache.trace_generator(kind, frame_len, seed)
 
 
-#: The default trace of ``build_and_measure``: campus mix, seed 101.
+#: The default trace of a :class:`PointSpec`: campus mix, seed 101.
 CAMPUS_TRACE = TraceKey("campus")
 
 
@@ -94,12 +95,13 @@ CAMPUS_TRACE = TraceKey("campus")
 class PointSpec:
     """One build-and-measure sweep point, picklable and hashable.
 
-    ``execute`` replicates :func:`repro.experiments.common.build_and_measure`
-    exactly: machine parameters are the defaults plus ``params_overrides``
-    at ``freq_ghz``, the trace comes from ``trace`` (campus by default),
-    and multi-core points (``n_cores > 1``) build the real RSS-sharded
-    runtime -- one arrival stream per port, Toeplitz-steered across the
-    replicas -- and measure it with :func:`measure_sharded`.
+    ``execute`` builds one binary and measures it with
+    :func:`measure_throughput`: machine parameters are the defaults plus
+    ``params_overrides`` at ``freq_ghz``, and the trace comes from
+    ``trace`` (campus by default).  Multi-core points (``n_cores > 1``)
+    build the real RSS-sharded runtime -- one arrival stream per port,
+    Toeplitz-steered across the replicas -- and measure it with
+    :func:`measure_sharded`.
     """
 
     config: str
@@ -173,13 +175,7 @@ def run_point(spec):
 
 
 def default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return env.jobs() or os.cpu_count() or 1
 
 
 class SweepEngine:
@@ -187,7 +183,7 @@ class SweepEngine:
 
     def __init__(self, jobs: Optional[int] = None, mode: Optional[str] = None):
         self.jobs = jobs if jobs is not None else default_jobs()
-        self.mode = mode or os.environ.get("REPRO_SWEEP", "auto")
+        self.mode = mode or env.sweep_mode()
 
     @property
     def parallel(self) -> bool:

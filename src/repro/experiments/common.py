@@ -1,15 +1,9 @@
-"""Shared experiment plumbing: scales, builders, and table formatting."""
+"""Shared experiment plumbing: scales and table formatting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
-
-from repro.core.options import BuildOptions
-from repro.core.packetmill import PacketMill
-from repro.exec import cache as exec_cache
-from repro.hw.params import MachineParams
-from repro.perf.runner import ThroughputPoint, measure_throughput
+from typing import List, Optional, Sequence
 
 #: The evaluation's DUT nominal frequency.
 DUT_FREQ_GHZ = 2.3
@@ -55,36 +49,6 @@ FULL = Scale(
     footprints_mb=(0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0),
     work_numbers=(0, 4, 8, 12, 16, 20),
 )
-
-
-def campus_trace_factory(seed: int = 101):
-    return lambda port, core: exec_cache.trace_generator(
-        "campus", None, seed + port + 7 * core
-    )
-
-
-def build_and_measure(
-    config: str,
-    options: BuildOptions,
-    freq_ghz: float,
-    scale: Scale,
-    trace_factory: Optional[Callable] = None,
-    params: Optional[MachineParams] = None,
-    seed: int = 0,
-) -> ThroughputPoint:
-    """Build one binary and measure steady-state throughput."""
-    machine = (params or MachineParams()).at_frequency(freq_ghz)
-    mill = PacketMill(
-        config,
-        options,
-        params=machine,
-        trace=trace_factory or campus_trace_factory(),
-        seed=seed,
-    )
-    binary = mill.build()
-    return measure_throughput(
-        binary, batches=scale.batches, warmup_batches=scale.warmup_batches
-    )
 
 
 @dataclass

@@ -173,7 +173,7 @@ class FaultSchedule:
         survive only on their own queue.  The seed is preserved -- each
         replica's injector already decorrelates it per core -- and an
         empty result means that core runs entirely fault-free (no
-        injector is even wired, so its tier never demotes).
+        injector is even wired).
         """
         return FaultSchedule(
             (spec for spec in self.specs

@@ -48,12 +48,18 @@ class ThroughputPoint:
         return self.run.counters[name] / self.run.packets * self.pps * window_s
 
 
-def _apply_ceilings(cpu_pps: float, frame_len: float, params, n_ports: int):
-    """Clamp the CPU rate by the per-port physical limits."""
+def _apply_ceilings(cpu_pps: float, frame_len: float, params, n_ports: int,
+                    n_queues: int = 1):
+    """Clamp the CPU rate by the per-port physical limits.
+
+    Each port has ``n_queues`` RX queues (one per core under RSS), so the
+    queue ceiling scales with them; the link and PCIe ceilings are the
+    port's, whatever its queue count.
+    """
     pcie = PcieModel(params)
     limits = {
         "cpu": cpu_pps,
-        "queue": params.nic_queue_pps_limit * n_ports,
+        "queue": params.nic_queue_pps_limit * n_queues * n_ports,
         "pcie": pcie.pps_limit(frame_len) * n_ports,
         "link": params.line_rate_pps(frame_len) * n_ports,
     }
@@ -96,10 +102,16 @@ def measure_sharded(
     folds the per-core runs into one cluster-level point.  The aggregate
     CPU rate is the sum of per-core service rates, clamped by the shared
     link/PCIe (RSS splits one port's traffic, so the port ceilings apply
-    to the *sum*); the queue ceiling scales with cores because every
-    core adds an RX queue.  A 1-core sharded runtime produces a point
+    to the *sum*, at the mean frame length of every replica's transmitted
+    packets); the queue ceiling scales with cores because every core
+    adds an RX queue.  A 1-core sharded runtime produces a point
     *bit-identical* to :func:`measure_throughput` on the unsharded
     binary -- the identity the tier-1 suite pins.
+
+    The point's ``run`` is replica 0's :class:`MeasuredRun`: core 0's own
+    packets, counters and stats, not a cluster aggregate.  ``pps``,
+    ``gbps``, ``cpu_pps``, ``ns_per_packet`` and ``mean_frame_len`` cover
+    every replica.
     """
     runtime.warmup(warmup_batches)
     runtime.run_batches(batches)
@@ -108,15 +120,11 @@ def measure_sharded(
     params = first.params
     n_ports = len(first.pmds)
     total_cpu_pps = sum(1e9 / r.ns_per_packet for r in runs)
-    frame = runs[0].mean_frame_len or 64.0
-    limits = {
-        "cpu": total_cpu_pps,
-        "queue": params.nic_queue_pps_limit * runtime.n_cores * n_ports,
-        "pcie": PcieModel(params).pps_limit(frame) * n_ports,
-        "link": params.line_rate_pps(frame) * n_ports,
-    }
-    bound_by = min(limits, key=limits.get)
-    pps = limits[bound_by]
+    tx_packets = sum(r.tx_packets for r in runs)
+    frame = (sum(r.tx_bytes for r in runs) / tx_packets
+             if tx_packets else 64.0)
+    pps, bound_by = _apply_ceilings(total_cpu_pps, frame, params, n_ports,
+                                    runtime.n_cores)
     total_packets = sum(r.packets for r in runs)
     total_ns = sum(r.elapsed_ns for r in runs)
     return ThroughputPoint(

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.runtime import ExecutionTier
 from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
@@ -29,16 +28,15 @@ def test_defaults_match_packetmill_defaults():
     assert via_profile.options == via_kwargs.options
     assert via_profile.params == via_kwargs.params
     assert via_profile.burst == via_kwargs.burst
-    assert via_profile.tier is via_kwargs.tier is None
 
 
 def test_kwargs_shim_builds_the_same_profile():
     options = BuildOptions.packetmill()
     params = MachineParams().at_frequency(2.3)
     mill = PacketMill(router(), options, params=params, seed=3, burst=16,
-                      tier="codegen")
+                      analyze="warn")
     assert mill.profile == RunProfile(options=options, params=params,
-                                      seed=3, burst=16, tier="codegen")
+                                      seed=3, burst=16, analyze="warn")
 
 
 def test_from_profile_measures_identically_to_kwargs():
@@ -58,24 +56,17 @@ def test_from_profile_measures_identically_to_kwargs():
 
 def test_with_overrides_is_a_functional_update():
     base = RunProfile(options=BuildOptions.packetmill(), seed=1)
-    swept = base.with_overrides(seed=2, tier="codegen")
-    assert base.seed == 1 and base.tier is None
-    assert swept.seed == 2 and swept.tier == "codegen"
+    swept = base.with_overrides(seed=2, analyze="warn")
+    assert base.seed == 1 and base.analyze is None
+    assert swept.seed == 2 and swept.analyze == "warn"
     assert swept.options == base.options
 
 
 def test_describe_lists_only_non_defaults():
     assert RunProfile().describe() == "(defaults)"
-    text = RunProfile(seed=9, tier="codegen").describe()
-    assert "seed=9" in text and "codegen" in text
+    text = RunProfile(seed=9, analyze="warn").describe()
+    assert "seed=9" in text and "warn" in text
     assert "burst" not in text
-
-
-def test_tier_field_accepts_enum_and_policy():
-    # The tier is a plain value: the enum or its spelling.
-    for tier in (ExecutionTier.CODEGEN, "codegen", "CODEGEN"):
-        mill = PacketMill.from_profile(router(), RunProfile(tier=tier))
-        assert mill.tier is ExecutionTier.CODEGEN
 
 
 def _trace_factory(port, core):  # pragma: no cover - never called
@@ -94,7 +85,6 @@ SAMPLE_FIELDS = {
     "telemetry": TelemetryConfig(),
     "analyze": "warn",
     "qos": QosConfig(),
-    "tier": "compiled",
     "n_cores": 2,
     "rss": RssConfig(),
 }
@@ -114,9 +104,11 @@ def test_every_field_is_a_packetmill_keyword(name):
 
 @pytest.mark.parametrize("name, call", [
     ("facts", lambda: PacketMill(router(), facts=True)),
+    ("tier", lambda: PacketMill(router(), tier="codegen")),
     ("bogus", lambda: PacketMill(router(), bogus=1)),
     ("bogus", lambda: RunProfile().with_overrides(bogus=1)),
-], ids=["packetmill-facts", "packetmill-bogus", "with-overrides-bogus"])
+], ids=["packetmill-facts", "packetmill-tier", "packetmill-bogus",
+        "with-overrides-bogus"])
 def test_unknown_field_is_refused_by_name(name, call):
     with pytest.raises(ProfileError, match="unknown RunProfile field %r"
                        % name) as info:
