@@ -13,6 +13,13 @@ from repro.compiler.ir import BranchHint, Compute, Program
 from repro.compiler.passes.transforms import FOLDABLE_NOTE
 
 
+def _burst(kwargs) -> int:
+    burst = int(kwargs.get("BURST", 32))
+    if burst <= 0:
+        raise ValueError("BURST must be positive, not %d" % burst)
+    return burst
+
+
 @register
 class FromDPDKDevice(Element):
     """Receives bursts of packets from a DPDK port.
@@ -29,7 +36,7 @@ class FromDPDKDevice(Element):
         port = int(kwargs.get("PORT", args[0] if args else 0))
         self.declare_param("port", port)
         self.declare_param("n_queues", int(kwargs.get("N_QUEUES", 1)))
-        self.declare_param("burst", int(kwargs.get("BURST", 32)))
+        self.declare_param("burst", _burst(kwargs))
         self.pmd = None  # bound at build time
 
     def xstats(self):
@@ -67,7 +74,7 @@ class ToDPDKDevice(Element):
     def configure(self, args, kwargs):
         port = int(kwargs.get("PORT", args[0] if args else 0))
         self.declare_param("port", port)
-        self.declare_param("burst", int(kwargs.get("BURST", 32)))
+        self.declare_param("burst", _burst(kwargs))
         self.pmd = None  # bound at build time
 
     def xstats(self):

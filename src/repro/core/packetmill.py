@@ -33,7 +33,7 @@ from repro.compiler.passes import reorder_metadata
 from repro.compiler.structlayout import LayoutRegistry
 from repro.core.binary import SpecializedBinary
 from repro.core.options import BuildOptions, MetadataModel
-from repro.core.profile import RunProfile
+from repro.core.profile import BuildError, RunProfile
 from repro.dpdk.metadata import CopyingModel, OverlayingModel, XChangeModel
 from repro.dpdk.nic import Nic
 from repro.dpdk.tinynf import TinyNfModel
@@ -52,10 +52,6 @@ from repro.qos import QosPort
 from repro.telemetry import Telemetry, TelemetryConfig
 
 TraceFactory = Callable[[int, int], object]  # (port, core) -> trace generator
-
-
-class BuildError(RuntimeError):
-    """The requested build cannot be assembled."""
 
 
 def _default_trace_factory(port: int, core: int):

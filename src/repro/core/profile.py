@@ -16,7 +16,7 @@ passed around:
 ``PacketMill(config, telemetry=True)`` and the profile form build the
 same thing.  A keyword that names no field -- in ``PacketMill(...)`` or
 :meth:`RunProfile.with_overrides` -- raises :class:`ProfileError`
-naming it.
+naming it, and so does a bad ``n_cores``, ``burst`` or ``seed``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,14 @@ from repro.qos import QosConfig
 from repro.telemetry import TelemetryConfig
 
 
-class ProfileError(ValueError):
-    """A build was given a field that :class:`RunProfile` does not have."""
+class BuildError(RuntimeError):
+    """The requested build cannot be assembled (re-exported by
+    :mod:`repro.core.packetmill`)."""
+
+
+class ProfileError(BuildError, ValueError):
+    """A build field that :class:`RunProfile` does not have, or a value
+    it refuses."""
 
 
 @dataclass
@@ -79,6 +85,18 @@ class RunProfile:
     n_cores: int = 1
     rss: Optional[RssConfig] = None
 
+    def __post_init__(self):
+        for name, ok, expected in (
+                ("n_cores", type(self.n_cores) is int and self.n_cores > 0,
+                 "a positive int"),
+                ("burst", self.burst is None
+                 or (type(self.burst) is int and self.burst > 0),
+                 "None or a positive int"),
+                ("seed", type(self.seed) is int, "an int")):
+            if not ok:
+                raise ProfileError("RunProfile field %r must be %s, not %r"
+                                   % (name, expected, getattr(self, name)))
+
     def with_overrides(self, /, **changes) -> "RunProfile":
         """A copy with the given fields replaced (sweep convenience);
         an unknown field raises :class:`ProfileError`."""
@@ -104,4 +122,4 @@ class RunProfile:
 
 _FIELD_NAMES = frozenset(f.name for f in fields(RunProfile))
 
-__all__ = ["ProfileError", "RunProfile"]
+__all__ = ["BuildError", "ProfileError", "RunProfile"]

@@ -11,6 +11,8 @@ Not paper figures -- these isolate single knobs of the system:
   too many cools the working set.
 - ``driver_models``: TinyNF vs. X-Change vs. vectorized classic DPDK.
 - ``pgo``: the §5 future-work item stacked on top of PacketMill.
+
+``run(scale)`` measures all five into one :class:`AblationsResult`.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from repro.core.options import BuildOptions, MetadataModel
 from repro.dpdk.xchg_api import fastclick_conversions
 from repro.exec import cache as exec_cache
 from repro.exec.sweep import PointSpec, TraceKey, run_points
+from repro.experiments.common import QUICK, Scale
 from repro.experiments.result import ExperimentResult
 from repro.hw.params import MachineParams
 from repro.net.trace import TraceSpec
 
 FRAME = 1024
 FREQ = 2.3
-BATCHES = 160
-WARMUP = 80
 
 #: Every ablation replays the same fixed-size trace on every port/core.
 TRACE = TraceKey("fixed", FRAME, seed=7, per_port=False)
@@ -64,13 +65,13 @@ class AblationResult(ExperimentResult):
         return "\n".join(lines)
 
 
-def ddio_ways() -> AblationResult:
+def ddio_ways(scale: Scale = QUICK) -> AblationResult:
     """LLC I/O way quota: 1 way starves DMA locality; 8 (the paper's
     setting) keeps packet data cache-resident."""
     way_counts = (1, 2, 4, 8)
     specs = [
         PointSpec(forwarder(), BuildOptions.metadata(MetadataModel.COPYING),
-                  FREQ, BATCHES, WARMUP, trace=TRACE,
+                  FREQ, scale.batches, scale.warmup_batches, trace=TRACE,
                   params_overrides=(("ddio_ways", ways),))
         for ways in way_counts
     ]
@@ -91,14 +92,15 @@ def check_ddio_ways(result: AblationResult) -> None:
     assert mpps[-1] >= mpps[0] * 0.99, "more DDIO ways should not hurt"
 
 
-def burst_size() -> AblationResult:
+def burst_size(scale: Scale = QUICK) -> AblationResult:
     """Per-burst overheads amortize with larger bursts, with diminishing
     returns once the poll/doorbell share is negligible."""
     bursts = (4, 8, 16, 32, 64, 128)
     specs = [
         PointSpec(forwarder(burst=burst),
                   dc_replace(BuildOptions.packetmill(), burst=burst),
-                  FREQ, BATCHES, WARMUP, trace=TRACE, burst=burst)
+                  FREQ, scale.batches, scale.warmup_batches, trace=TRACE,
+                  burst=burst)
         for burst in bursts
     ]
     rows = [
@@ -117,9 +119,10 @@ def check_burst_size(result: AblationResult) -> None:
     assert last_gain < max(first_gain, 0.02)
 
 
-def xchg_meta_buffers() -> AblationResult:
+def xchg_meta_buffers(scale: Scale = QUICK) -> AblationResult:
     """The metadata working set: a handful of buffers stays L1-warm; a
-    mempool-sized population cycles through the cache like rte_mbufs."""
+    mempool-sized population cycles through the cache like rte_mbufs.
+    A fixed-length PMD loop: ``scale`` is unused."""
     from repro.dpdk.metadata import XChangeModel
     from repro.dpdk.nic import Nic
     from repro.dpdk.pmd import MlxPmd
@@ -167,7 +170,20 @@ def check_xchg_meta_buffers(result: AblationResult) -> None:
     assert ns[-1] >= ns[1] * 0.999
 
 
-def driver_models() -> AblationResult:
+def _build_rows(key: str, config: str, cases, scale: Scale):
+    """One ``{key: label, "cpu_mpps": ...}`` row per ``(label, options)``."""
+    specs = [
+        PointSpec(config, options, FREQ, scale.batches,
+                  scale.warmup_batches, trace=TRACE)
+        for _, options in cases
+    ]
+    return [
+        {key: label, "cpu_mpps": point.cpu_pps / 1e6}
+        for (label, _), point in zip(cases, run_points(specs))
+    ]
+
+
+def driver_models(scale: Scale = QUICK) -> AblationResult:
     """TinyNF vs. X-Change vs. vectorized/scalar classic DPDK."""
     cases = [
         ("copying", BuildOptions.metadata(MetadataModel.COPYING)),
@@ -175,16 +191,8 @@ def driver_models() -> AblationResult:
         ("xchange", BuildOptions.metadata(MetadataModel.XCHANGE)),
         ("tinynf", BuildOptions(metadata_model=MetadataModel.TINYNF, lto=True)),
     ]
-    config = forwarder()
-    specs = [
-        PointSpec(config, options, FREQ, BATCHES, WARMUP, trace=TRACE)
-        for _, options in cases
-    ]
-    rows = [
-        {"model": label, "cpu_mpps": point.cpu_pps / 1e6}
-        for (label, _), point in zip(cases, run_points(specs))
-    ]
-    return AblationResult("driver_models", rows)
+    return AblationResult("driver_models",
+                          _build_rows("model", forwarder(), cases, scale))
 
 
 def check_driver_models(result: AblationResult) -> None:
@@ -193,7 +201,7 @@ def check_driver_models(result: AblationResult) -> None:
     assert rates["xchange"] > rates["copying+vec"] > rates["copying"]
 
 
-def pgo_stacking() -> AblationResult:
+def pgo_stacking(scale: Scale = QUICK) -> AblationResult:
     """PGO on top of each build (the §5 'why not PGO instead' answer:
     it composes, and its margin is BOLT-class, not PacketMill-class)."""
     from repro.core.nfs import router
@@ -204,16 +212,8 @@ def pgo_stacking() -> AblationResult:
         ("packetmill", BuildOptions.packetmill()),
         ("packetmill+pgo", dc_replace(BuildOptions.packetmill(), pgo=True)),
     ]
-    config = router()
-    specs = [
-        PointSpec(config, options, FREQ, BATCHES, WARMUP, trace=TRACE)
-        for _, options in cases
-    ]
-    rows = [
-        {"build": label, "cpu_mpps": point.cpu_pps / 1e6}
-        for (label, _), point in zip(cases, run_points(specs))
-    ]
-    return AblationResult("pgo_stacking", rows)
+    return AblationResult("pgo_stacking",
+                          _build_rows("build", router(), cases, scale))
 
 
 def check_pgo_stacking(result: AblationResult) -> None:
@@ -234,9 +234,26 @@ ALL = {
 }
 
 
-if __name__ == "__main__":
-    for name, (run_fn, check_fn) in ALL.items():
-        result = run_fn()
-        print(result.format_table())
-        check_fn(result)
-        print("%s OK\n" % name)
+@dataclass
+class AblationsResult(ExperimentResult):
+    """The five ablations of one run, in :data:`ALL` order."""
+
+    results: List[AblationResult]
+
+    name = "ablations"
+
+    def _points(self):
+        return [result.to_dict() for result in self.results]
+
+
+def run(scale: Scale = QUICK) -> AblationsResult:
+    return AblationsResult([run_fn(scale) for run_fn, _ in ALL.values()])
+
+
+def check(result: AblationsResult) -> None:
+    for ablation in result.results:
+        ALL[ablation.name][1](ablation)
+
+
+def format_table(result: AblationsResult) -> str:
+    return "\n\n".join(ablation.format_table() for ablation in result.results)

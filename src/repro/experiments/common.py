@@ -28,6 +28,18 @@ class Scale:
         return self.batches * 32
 
 
+#: The CI-size grid: every experiment at a fraction of QUICK's run length.
+SMOKE = Scale(
+    name="smoke",
+    warmup_batches=40,
+    batches=80,
+    frequencies=(1.2, 2.0, 3.0),
+    packet_sizes=(64, 512, 1472),
+    latency_packets=20_000,
+    footprints_mb=(1.0, 8.0, 16.0),
+    work_numbers=(0, 20),
+)
+
 QUICK = Scale(
     name="quick",
     warmup_batches=80,

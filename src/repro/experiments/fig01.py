@@ -124,9 +124,3 @@ def format_table(result: Fig01Result) -> str:
         header="Figure 1: 99th-percentile latency vs throughput (router @%.1f GHz)"
         % DUT_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

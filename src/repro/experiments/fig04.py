@@ -135,9 +135,3 @@ def format_table(result: Fig04Result) -> str:
         for name, (a, b, r2) in result.throughput_fits.items()
     ]
     return table + "\n" + "\n".join(fit_lines)
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

@@ -112,9 +112,3 @@ def format_table(result: Fig05Result) -> str:
         ["freq_GHz", "1nic_gbps", "2nic_gbps", "bound"],
         header="Figure 5: metadata models, forwarder, %d-B frames" % FRAME_LEN,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

@@ -116,9 +116,3 @@ def format_table(result: Fig06Result) -> str:
         ["size_B", "gbps", "mpps", "bound"],
         header="Figure 6: packet-size sweep, router @%.1f GHz" % DUT_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

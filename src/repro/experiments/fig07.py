@@ -120,9 +120,3 @@ def format_table(result: Fig07Result) -> str:
         ["vanilla_gbps", "improvement_%"],
         header="Figure 7: WorkPackage surface @%.1f GHz" % DUT_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

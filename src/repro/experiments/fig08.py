@@ -94,9 +94,3 @@ def format_table(result: Fig08Result) -> str:
         ["freq_GHz", "gbps", "p50_us"],
         header="Figure 8: IDS+VLAN+router, frequency sweep",
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

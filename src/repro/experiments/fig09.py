@@ -140,9 +140,3 @@ def format_table(result: Fig09Result) -> str:
         ["S_MB", "gbps", "cpu_mpps", "miss_%", "kloads/100ms"],
         header="Figure 9: memory-footprint slice (N=1, W=4) @%.1f GHz" % DUT_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

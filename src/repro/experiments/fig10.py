@@ -108,9 +108,3 @@ def format_table(result: Fig10Result) -> str:
         ["cores", "gbps", "bound"],
         header="Figure 10: NAT, multicore @%.1f GHz" % DUT_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

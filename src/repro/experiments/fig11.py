@@ -93,9 +93,3 @@ def format_table(result: Fig11Result) -> str:
         ["size_B", "gbps"],
         header="Figure 11: frameworks, forwarding @%.1f GHz" % FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

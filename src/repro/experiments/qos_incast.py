@@ -29,7 +29,7 @@ balance exactly in both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.nfs import qos_forwarder
 from repro.core.packetmill import PacketMill
@@ -73,14 +73,13 @@ class QosIncastResult(ExperimentResult):
         return self.records
 
 
-def _run_cell(trace, pfc: bool, qos: Optional[QosConfig] = None
-              ) -> Dict[str, object]:
+def _run_cell(trace, pfc: bool, qos: QosConfig) -> Dict[str, object]:
     """Build, run to EOF, audit, and flatten one congestion cell."""
     mill = PacketMill(
         qos_forwarder(pfc=pfc, rate=SERVICE_RATE),
         params=MachineParams(),
         trace=trace,
-        qos=qos or default_qos(),
+        qos=qos,
     )
     binary = mill.build()
     driver = binary.driver
@@ -129,7 +128,7 @@ def _incast_trace() -> IncastBurstTrace:
     )
 
 
-def run(scale=None, qos: Optional[QosConfig] = None) -> QosIncastResult:
+def run(scale=None) -> QosIncastResult:
     """The full sweep: oversubscription grid plus the incast scenario.
 
     ``scale`` is accepted for the common experiment protocol but unused:
@@ -139,7 +138,8 @@ def run(scale=None, qos: Optional[QosConfig] = None) -> QosIncastResult:
     result = QosIncastResult()
     for ratio in OFFERED_RATIOS:
         for pfc in (False, True):
-            record = _run_cell(_oversubscribed_trace(ratio), pfc, qos)
+            record = _run_cell(_oversubscribed_trace(ratio), pfc,
+                               default_qos())
             record["scenario"] = "oversubscribed"
             record["offered_ratio"] = ratio
             result.records.append(record)
@@ -147,18 +147,7 @@ def run(scale=None, qos: Optional[QosConfig] = None) -> QosIncastResult:
         # The tight carving: the incast transient must overrun the
         # reserved+shared quota so the shared headroom pool is what
         # saves (or, without PFC, fails to save) priority 0.
-        record = _run_cell(_incast_trace(), pfc, qos or tight_qos())
-        record["scenario"] = "incast"
-        record["offered_ratio"] = None
-        result.records.append(record)
-    return result
-
-
-def run_incast(qos: Optional[QosConfig] = None) -> QosIncastResult:
-    """Just the incast pair -- the CI qos-smoke entry point."""
-    result = QosIncastResult()
-    for pfc in (False, True):
-        record = _run_cell(_incast_trace(), pfc, qos or tight_qos())
+        record = _run_cell(_incast_trace(), pfc, tight_qos())
         record["scenario"] = "incast"
         record["offered_ratio"] = None
         result.records.append(record)
@@ -224,12 +213,3 @@ def format_table(result: QosIncastResult) -> str:
                % (SERVICE_RATE, RUN_PACKETS),
         fmt="%10.0f",
     )
-
-
-if __name__ == "__main__":
-    import sys
-
-    result = run_incast() if "--incast" in sys.argv[1:] else run()
-    print(format_table(result))
-    check(result)
-    print("\nall robustness claims hold")

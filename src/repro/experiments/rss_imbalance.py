@@ -66,8 +66,8 @@ VARIANTS = ("static", "dynamic", "dispatch")
 #: Traffic phases: ``shifting`` rotates the elephant set mid-run.
 PHASES = ("stationary", "shifting")
 
-#: Smoke mode (the CI ``steering-smoke`` job): a shorter trace against a
-#: tighter backlog cap -- same code paths, directional claims only.
+#: Smoke mode (a scale shorter than ``QUICK``): a shorter trace against
+#: a tighter backlog cap -- same code paths, directional claims only.
 SMOKE_PACKETS = 12_000
 SMOKE_BACKLOG_CAP = 512
 
@@ -172,9 +172,10 @@ class ImbalanceResult(ExperimentResult):
         return (steered - static) / gap if gap > 0 else float("inf")
 
 
-def _run_one(config: Optional[str], skew: Optional[float], n_packets: int,
-             rss: RssConfig, shift_at: Optional[int] = None):
+def _measure(phase: str, variant: str, skew: Optional[float],
+             n_packets: int, backlog_cap: int) -> SteeringPoint:
     """One fresh sharded run, drained to EOF with no mid-run resets."""
+    shift_at = n_packets // 2 if phase == "shifting" else None
 
     def trace_factory(port, core):
         return FiniteTrace(
@@ -183,25 +184,16 @@ def _run_one(config: Optional[str], skew: Optional[float], n_packets: int,
             n_packets)
 
     mill = PacketMill(
-        nat_router() if config is None else config,
+        nat_router(),
         BuildOptions.packetmill(),
         params=MachineParams().at_frequency(DUT_FREQ_GHZ),
         trace=trace_factory,
         n_cores=N_CORES,
-        rss=rss,
+        rss=RssConfig(backlog_cap=backlog_cap, steering=_policy(variant)),
     )
     runtime = mill.build_sharded()
     runtime.run_until_eof()
     audit = assert_sharded_conserved(runtime)
-    return runtime, audit
-
-
-def _measure(phase: str, variant: str, skew: Optional[float],
-             n_packets: int, backlog_cap: int,
-             config: Optional[str]) -> SteeringPoint:
-    rss = RssConfig(backlog_cap=backlog_cap, steering=_policy(variant))
-    shift_at = n_packets // 2 if phase == "shifting" else None
-    runtime, audit = _run_one(config, skew, n_packets, rss, shift_at)
     elapsed = runtime.elapsed_ns()
     tx_bytes = sum(b.driver.stats.tx_bytes for b in runtime.replicas)
     mq = runtime.ports[0]
@@ -234,15 +226,13 @@ class ImbalancePointSpec:
     skew: Optional[float]
     n_packets: int
     backlog_cap: int
-    config: Optional[str] = None
 
     def execute(self) -> SteeringPoint:
         return _measure(self.phase, self.variant, self.skew,
-                        self.n_packets, self.backlog_cap, self.config)
+                        self.n_packets, self.backlog_cap)
 
 
-def point_specs(n_packets: int, backlog_cap: int,
-                config: Optional[str] = None) -> List[ImbalancePointSpec]:
+def point_specs(n_packets: int, backlog_cap: int) -> List[ImbalancePointSpec]:
     """The grid's points, in result order."""
     # The static skew sweep (the break).
     grid = [("stationary", "static", skew) for skew in SKEWS]
@@ -251,19 +241,18 @@ def point_specs(n_packets: int, backlog_cap: int,
     grid += [(phase, variant, HEAVY_SKEW)
              for phase in PHASES for variant in VARIANTS
              if not (phase == "stationary" and variant == "static")]
-    return [ImbalancePointSpec(phase, variant, skew, n_packets,
-                               backlog_cap, config)
+    return [ImbalancePointSpec(phase, variant, skew, n_packets, backlog_cap)
             for phase, variant, skew in grid]
 
 
-def run(scale: Scale = QUICK, config: Optional[str] = None,
-        smoke: bool = False) -> ImbalanceResult:
+def run(scale: Scale = QUICK) -> ImbalanceResult:
+    smoke = scale.batches < QUICK.batches
     if smoke:
         n_packets, backlog_cap = SMOKE_PACKETS, SMOKE_BACKLOG_CAP
     else:
         n_packets = max(40_000, scale.trace_packets() * N_CORES)
         backlog_cap = RssConfig().backlog_cap
-    points = run_points(point_specs(n_packets, backlog_cap, config))
+    points = run_points(point_specs(n_packets, backlog_cap))
     return ImbalanceResult(points, smoke=smoke, n_packets=n_packets)
 
 
@@ -347,24 +336,13 @@ def format_table(result: ImbalanceResult) -> str:
                 "dispatched": point.dispatched,
             },
         ))
-    return format_rows(
+    table = format_rows(
         rows,
         ["gbps", "imbalance", "rss_drop", "moves", "dispatched"],
         header="RSS imbalance + steering: NAT, %d cores @%.1f GHz, "
                "%d-flow trace" % (N_CORES, DUT_FREQ_GHZ, N_FLOWS),
     )
-
-
-if __name__ == "__main__":
-    import sys
-
-    smoke = "--smoke" in sys.argv
-    result = run(smoke=smoke)
-    print(format_table(result))
-    for phase in PHASES:
-        for variant in ("dynamic", "dispatch"):
-            print("recovery %s/%s: %.0f%%"
-                  % (phase, variant, result.recovery(phase, variant) * 100))
-    if "--check" in sys.argv:
-        check(result)
-        print("check: ok")
+    recoveries = ["recovery %s/%s: %.0f%%" % (
+        phase, variant, result.recovery(phase, variant) * 100)
+        for phase in PHASES for variant in ("dynamic", "dispatch")]
+    return "\n".join([table] + recoveries)

@@ -81,9 +81,3 @@ def format_table(result: Table1Result) -> str:
         ["llc_kloads_100ms", "llc_kmisses_100ms", "ipc", "mpps"],
         header="Table 1: microarchitectural metrics, router @%.0f GHz" % PERF_FREQ_GHZ,
     )
-
-
-if __name__ == "__main__":
-    result = run()
-    print(format_table(result))
-    check(result)

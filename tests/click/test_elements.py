@@ -79,6 +79,15 @@ class TestConfigErrors:
         # Still a ValueError, for callers that catch the broad class.
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("element", ["FromDPDKDevice", "ToDPDKDevice"])
+    @pytest.mark.parametrize("burst", [0, -3])
+    def test_non_positive_burst_is_refused(self, element, burst):
+        config = "FromDPDKDevice(PORT 0) -> ToDPDKDevice(PORT 0);".replace(
+            "%s(PORT 0" % element, "%s(PORT 0, BURST %d" % (element, burst))
+        with pytest.raises(ElementConfigError,
+                           match="%s: BURST must be positive" % element):
+            PacketMill(config).build()
+
 
 class TestEtherElements:
     def test_mirror_swaps(self):

@@ -116,6 +116,18 @@ def test_unknown_field_is_refused_by_name(name, call):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_cores", 0), ("n_cores", -2), ("n_cores", 1.0), ("burst", 0),
+    ("burst", -3), ("burst", True), ("seed", "x"), ("seed", None),
+])
+def test_bad_value_is_refused_by_name(name, value):
+    message = "RunProfile field %r must be" % name
+    with pytest.raises(ProfileError, match=message):
+        PacketMill.from_profile(router(), RunProfile(**{name: value}))
+    with pytest.raises(ProfileError, match=message):
+        RunProfile().with_overrides(**{name: value})
+
+
 def test_every_unknown_field_is_named():
     with pytest.raises(ProfileError, match="'bogus', 'facts'"):
         PacketMill(router(), facts=True, seed=1, bogus=2)

@@ -1,39 +1,27 @@
-"""Integration tests for the experiment modules at a tiny scale.
+"""Integration tests for the experiment modules at smoke scale.
 
-Full-scale reproductions live in ``benchmarks/``; here each experiment is
-exercised end-to-end with a minimal grid so the pipeline (run -> check ->
-format_table) stays correct.
+Larger runs go through ``python -m repro.experiments.report``; here each
+experiment is exercised end-to-end on the ``SMOKE`` grid so the pipeline
+(run -> check -> format_table) stays correct.
 """
 
 import pytest
 
 from repro.experiments import fig01, fig06, fig09, table1
 from repro.experiments.common import (
+    FULL,
     QUICK,
+    SMOKE,
     Row,
-    Scale,
     format_rows,
     improvement_pct,
-)
-
-TINY = Scale(
-    name="tiny",
-    warmup_batches=40,
-    batches=80,
-    frequencies=(1.2, 2.0, 3.0),
-    packet_sizes=(64, 512, 1472),
-    latency_packets=20_000,
-    footprints_mb=(1.0, 8.0, 16.0),
-    work_numbers=(0, 20),
 )
 
 
 class TestCommon:
     def test_scales_are_ordered(self):
-        from repro.experiments.common import FULL
-
         assert len(FULL.frequencies) > len(QUICK.frequencies)
-        assert FULL.batches > QUICK.batches
+        assert FULL.batches > QUICK.batches > SMOKE.batches
 
     def test_improvement_pct(self):
         assert improvement_pct(100, 150) == pytest.approx(50.0)
@@ -49,7 +37,7 @@ class TestCommon:
 
 class TestTable1:
     def test_run_check_format(self):
-        result = table1.run(TINY)
+        result = table1.run(SMOKE)
         table1.check(result)
         table = table1.format_table(result)
         assert "Vanilla" in table and "Static Graph" in table
@@ -60,35 +48,35 @@ class TestTable1:
 
 class TestFig01:
     def test_run_check_format(self):
-        result = fig01.run(TINY)
+        result = fig01.run(SMOKE)
         fig01.check(result)
         table = fig01.format_table(result)
         assert "PacketMill" in table
         assert len(result.curves["Vanilla"]) == len(fig01.LOAD_FRACTIONS)
 
     def test_knee_visible(self):
-        result = fig01.run(TINY)
+        result = fig01.run(SMOKE)
         vanilla = result.curves["Vanilla"]
         assert vanilla[-1].p99_us > vanilla[0].p99_us * 3
 
 
 class TestFig06:
     def test_run_check_format(self):
-        result = fig06.run(TINY)
+        result = fig06.run(SMOKE)
         fig06.check(result)
         table = fig06.format_table(result)
         assert "size_B" in table
         assert result.sizes == [64, 512, 1472]
 
     def test_gbps_grows_with_size(self):
-        result = fig06.run(TINY)
+        result = fig06.run(SMOKE)
         for name in ("Vanilla", "PacketMill"):
             assert result.gbps[name][-1] > result.gbps[name][0]
 
 
 class TestFig09:
     def test_run_check_format(self):
-        result = fig09.run(TINY)
+        result = fig09.run(SMOKE)
         fig09.check(result)
         table = fig09.format_table(result)
         assert "kloads/100ms" in table

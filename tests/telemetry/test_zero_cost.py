@@ -5,9 +5,9 @@ import pytest
 from repro.core.nfs import forwarder, router
 from repro.core.packetmill import PacketMill
 from repro.experiments import fig01
+from repro.experiments.common import SMOKE
 from repro.telemetry import TelemetryConfig
 
-from tests.experiments.test_experiments import TINY
 from tests.telemetry.conftest import build
 
 pytestmark = pytest.mark.telemetry
@@ -38,8 +38,8 @@ class TestBitIdentical:
         assert run_on.stats == run_off.stats
 
     def test_fig01_is_deterministic_with_telemetry_disabled(self):
-        first = fig01.run(TINY)
-        second = fig01.run(TINY)
+        first = fig01.run(SMOKE)
+        second = fig01.run(SMOKE)
         assert first.to_json() == second.to_json()
         assert fig01.format_table(first) == fig01.format_table(second)
 
