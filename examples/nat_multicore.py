@@ -23,8 +23,8 @@ for label, options in [
 ]:
     print(label)
     for cores in (1, 2, 3, 4):
-        mill = PacketMill(nat_router(), options, params=params)
-        runtime = mill.build_sharded(cores)
+        mill = PacketMill(nat_router(), options, params=params, n_cores=cores)
+        runtime = mill.build_sharded()
         point = measure_sharded(runtime, batches=80, warmup_batches=40)
         flows = sum(
             b.graph.by_class("IPRewriter")[0].new_flows for b in runtime.replicas

@@ -89,6 +89,7 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
     from repro.analyze.qos import lint_qos
     from repro.compiler.pipeline import PassManager
     from repro.compiler.lower import lower
+    from repro.dpdk.metadata import make_model
 
     if report is None:
         report = AnalysisReport()
@@ -98,7 +99,7 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
     report.extend(lint_qos(graph, qos))
 
     # -- layouts under the options' metadata model ------------------------------
-    model = _make_model(options)
+    model = make_model(options.metadata_model)
     registry = LayoutRegistry()
     model.register_layouts(registry)
     base_packet: StructLayout = registry.get("Packet")
@@ -193,23 +194,6 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
             continue
         report.extend(verify_exec_program(exec_program, registry))
     return report
-
-
-def _make_model(options):
-    """The metadata model the options select (mirrors the build path)."""
-    from repro.core.options import MetadataModel
-    from repro.dpdk.metadata import CopyingModel, OverlayingModel, XChangeModel
-    from repro.dpdk.tinynf import TinyNfModel
-    from repro.dpdk.xchg_api import fastclick_conversions
-
-    model = options.metadata_model
-    if model is MetadataModel.COPYING:
-        return CopyingModel()
-    if model is MetadataModel.OVERLAYING:
-        return OverlayingModel()
-    if model is MetadataModel.TINYNF:
-        return TinyNfModel()
-    return XChangeModel(conversions=fastclick_conversions())
 
 
 def _whole_program_counts(programs):

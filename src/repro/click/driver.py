@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.click.element import Element
+from repro.click.elements.io import rx_burst
 from repro.click.graph import ProcessingGraph
 from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import execute_bases
@@ -262,7 +263,6 @@ class RouterDriver:
         exec_programs: Dict[str, ExecProgram],
         dispatch: DispatchPolicy,
         pmds: Dict[int, "MlxPmd"],  # noqa: F821 - forward ref to avoid cycle
-        burst: int = 32,
         injector=None,
         watchdog=None,
         telemetry: Optional[Telemetry] = None,
@@ -275,7 +275,6 @@ class RouterDriver:
         self.exec_programs = exec_programs
         self.dispatch = dispatch
         self.pmds = pmds
-        self.burst = burst
         self.injector = injector
         self.watchdog = watchdog
         # The telemetry bundle: always a registry (counter storage), plus
@@ -318,6 +317,8 @@ class RouterDriver:
             element.pmd = pmds[port]
         if not self.rx_elements:
             raise ValueError("configuration has no FromDPDKDevice")
+        # Queue elements drain in batches of the configuration's burst.
+        self.burst = rx_burst(graph)
         # All PMDs of one build share the metadata model; dropped packets
         # hand their buffers back to it (Click's Packet::kill()).
         self._model = next(iter(pmds.values())).model
@@ -560,21 +561,7 @@ class RouterDriver:
                 if spans is not None:
                     spans.pop()
             self._drain_queues(tx_queues)
-            for element, pkts in tx_queues.values():
-                if attribution is not None:
-                    attribution.sync(DRIVER_BUCKET)
-                if spans is not None:
-                    spans.push("pmd.tx")
-                sent = element.pmd.tx_burst(pkts)
-                if spans is not None:
-                    spans.pop()
-                if attribution is not None:
-                    attribution.sync("pmd.tx", sent)
-                transmitted += sent
-                self.stats.tx_packets += sent
-                self.stats.tx_bytes += sum(len(p) for p in pkts[:sent])
-                if sent < len(pkts):  # TX ring full: unsent packets die
-                    self._kill(element.name, pkts[sent:])
+            transmitted += self._transmit(tx_queues)
         if received == 0 and self.queue_elements and self.in_flight_packets():
             # Sources idle -- exhausted, or pause-throttled by PFC -- but
             # packets remain parked in queues.  Service them anyway: this
@@ -583,21 +570,7 @@ class RouterDriver:
             # deassert) and lets finite runs reach EOF.
             tx_queues = {}
             self._drain_queues(tx_queues)
-            for element, pkts in tx_queues.values():
-                if attribution is not None:
-                    attribution.sync(DRIVER_BUCKET)
-                if spans is not None:
-                    spans.push("pmd.tx")
-                sent = element.pmd.tx_burst(pkts)
-                if spans is not None:
-                    spans.pop()
-                if attribution is not None:
-                    attribution.sync("pmd.tx", sent)
-                transmitted += sent
-                self.stats.tx_packets += sent
-                self.stats.tx_bytes += sum(len(p) for p in pkts[:sent])
-                if sent < len(pkts):  # TX ring full: unsent packets die
-                    self._kill(element.name, pkts[sent:])
+            transmitted += self._transmit(tx_queues)
         self.stats.batches += 1
         if self.watchdog is not None:
             if self.watchdog.observe(received > 0 or transmitted > 0):
@@ -607,6 +580,29 @@ class RouterDriver:
         if self.sampler is not None:
             self.sampler.observe(self.cpu.elapsed_ns())
         return received
+
+    def _transmit(self, tx_queues) -> int:
+        """Flush each ``ToDPDKDevice``'s batch to its PMD; returns the
+        packets sent.  Packets the TX ring refuses die."""
+        attribution = self.attribution
+        spans = self.spans
+        transmitted = 0
+        for element, pkts in tx_queues.values():
+            if attribution is not None:
+                attribution.sync(DRIVER_BUCKET)
+            if spans is not None:
+                spans.push("pmd.tx")
+            sent = element.pmd.tx_burst(pkts)
+            if spans is not None:
+                spans.pop()
+            if attribution is not None:
+                attribution.sync("pmd.tx", sent)
+            transmitted += sent
+            self.stats.tx_packets += sent
+            self.stats.tx_bytes += sum(len(p) for p in pkts[:sent])
+            if sent < len(pkts):  # TX ring full: unsent packets die
+                self._kill(element.name, pkts[sent:])
+        return transmitted
 
     # -- degraded-path support ---------------------------------------------------
 

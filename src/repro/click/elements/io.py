@@ -11,13 +11,26 @@ from __future__ import annotations
 from repro.click.element import Element, register
 from repro.compiler.ir import BranchHint, Compute, Program
 from repro.compiler.passes.transforms import FOLDABLE_NOTE
+from repro.dpdk.nic import DEFAULT_BURST
 
 
 def _burst(kwargs) -> int:
-    burst = int(kwargs.get("BURST", 32))
-    if burst <= 0:
-        raise ValueError("BURST must be positive, not %d" % burst)
+    burst = int(kwargs.get("BURST", DEFAULT_BURST))
+    if not 1 <= burst <= 256:
+        raise ValueError("BURST must be positive and at most 256, not %d"
+                         % burst)
     return burst
+
+
+def rx_burst(graph) -> int:
+    """The largest ``BURST`` among ``graph``'s ``FromDPDKDevice`` elements.
+
+    The configuration is the one place a build's burst is stated: the
+    driver drains queues in batches of it, and an RSS port sizes its
+    ingest budget by it.
+    """
+    return max((e.param("burst") for e in graph.by_class("FromDPDKDevice")),
+               default=DEFAULT_BURST)
 
 
 @register

@@ -39,7 +39,6 @@ class BuildOptions:
     reorder_metadata: bool = False
     vectorized_pmd: bool = False
     pgo: bool = False
-    burst: int = 32
 
     def __post_init__(self):
         if self.reorder_metadata and not self.lto:
@@ -56,8 +55,6 @@ class BuildOptions:
                 "the X-Change prototype does not support the vectorized "
                 "PMD (paper §4.1 footnote); disable one of the two"
             )
-        if not 1 <= self.burst <= 256:
-            raise OptionsError("burst must be in [1, 256]")
 
     # -- the paper's named variants -----------------------------------------------
 

@@ -18,6 +18,7 @@ Stages, mirroring the figure:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.click.driver import (
@@ -27,20 +28,19 @@ from repro.click.driver import (
     DispatchPolicy,
     RouterDriver,
 )
+from repro.click.elements.io import rx_burst
 from repro.click.graph import ProcessingGraph
 from repro.compiler.lower import lower
 from repro.compiler.passes import reorder_metadata
 from repro.compiler.structlayout import LayoutRegistry
 from repro.core.binary import SpecializedBinary
-from repro.core.options import BuildOptions, MetadataModel
+from repro.core.options import BuildOptions
 from repro.core.profile import BuildError, RunProfile
-from repro.dpdk.metadata import CopyingModel, OverlayingModel, XChangeModel
+from repro.dpdk.metadata import make_model
 from repro.dpdk.nic import Nic
-from repro.dpdk.tinynf import TinyNfModel
 from repro.dpdk.pmd import MlxPmd
 from repro.faults.injector import FaultInjector
 from repro.faults.watchdog import Watchdog
-from repro.dpdk.xchg_api import fastclick_conversions
 from repro.exec import cache as exec_cache
 from repro.exec import env as exec_env
 from repro.hw.cpu import CpuCore
@@ -61,7 +61,12 @@ def _default_trace_factory(port: int, core: int):
 
 
 class PacketMill:
-    """Builds specialized binaries for a Click configuration."""
+    """Builds specialized binaries for a Click configuration.
+
+    A mill holds the configuration text and its :class:`RunProfile`;
+    every build reads its inputs from those two, and the burst from the
+    configuration alone (``FromDPDKDevice(BURST n)``).
+    """
 
     def __init__(self, config: str, /,
                  options: Optional[BuildOptions] = None, **fields):
@@ -81,35 +86,15 @@ class PacketMill:
     def _apply_profile(self, config: str, profile: RunProfile) -> None:
         self.config = config
         self.profile = profile
+        # The profile's build variant and machine, defaults applied.
         self.options = profile.options or BuildOptions.vanilla()
         self.params = profile.params or DEFAULT_PARAMS
-        self.seed = profile.seed
-        self.burst = profile.burst or self.options.burst
-        self.faults = profile.faults
-        self.watchdog_threshold = profile.watchdog_threshold
-        # RSS sharding: n_cores > 1 makes build_runtime() return an
-        # N-replica ShardedRuntime; rss carries the steering knobs.
-        self.n_cores = profile.n_cores
-        self.rss = profile.rss
-        # Set transiently by build_sharded() when the RSS config asks for
-        # one mempool shared by every queue's PMD.
-        self._model_override = None
-        # QoS buffer management: None (the default) leaves every QoS hook
-        # unreachable -- the build is bit-identical to a pre-QoS one.
-        self.qos = profile.qos
         # Static analysis at build time: "error" (or True) refuses to
         # build a configuration with error-severity findings, "warn"
         # analyzes and attaches the report without gating.  Default off;
         # REPRO_ANALYZE=1|error|warn opts a whole run in.
         self._analyze_mode = self._resolve_analyze_mode(profile.analyze)
         self._analysis_report = None
-        # Counter storage is always on (it IS the stats); the optional
-        # recorders (windows, attribution, spans) only exist when a
-        # config is passed -- observation charges nothing either way.
-        telemetry = profile.telemetry
-        if telemetry is True:
-            telemetry = TelemetryConfig()
-        self.telemetry_config: Optional[TelemetryConfig] = telemetry or None
         trace = profile.trace
         if trace is None:
             self._trace_factory: TraceFactory = _default_trace_factory
@@ -143,22 +128,12 @@ class PacketMill:
             self._analysis_report = analyze_config(
                 self.config, self.options,
                 subject=self.options.label(),
-                qos=self.qos,
+                qos=self.profile.qos,
                 profile=self.profile,
             )
         return self._analysis_report
 
-    # -- model / policy selection ---------------------------------------------------
-
-    def _make_model(self):
-        model = self.options.metadata_model
-        if model is MetadataModel.COPYING:
-            return CopyingModel()
-        if model is MetadataModel.OVERLAYING:
-            return OverlayingModel()
-        if model is MetadataModel.TINYNF:
-            return TinyNfModel()
-        return XChangeModel(conversions=fastclick_conversions())
+    # -- policy selection --------------------------------------------------------
 
     def _dispatch_policy(self) -> DispatchPolicy:
         options = self.options
@@ -175,21 +150,35 @@ class PacketMill:
 
     # -- build ------------------------------------------------------------------------
 
+    def _parse(self):
+        """A fresh graph of the configuration and its sorted DPDK ports."""
+        graph = ProcessingGraph.from_text(self.config)
+        ports = sorted(
+            {e.param("port") for e in graph.by_class("FromDPDKDevice")}
+            | {e.param("port") for e in graph.by_class("ToDPDKDevice")}
+        )
+        if not ports:
+            raise BuildError("configuration uses no DPDK ports")
+        return graph, ports
+
     def build(self) -> SpecializedBinary:
         """Build a single-core binary."""
-        mem = MemorySystem(self.params, n_cores=1, seed=self.seed)
-        return self._build_core(mem, core_id=0)
+        graph, ports = self._parse()
+        mem = MemorySystem(self.params, n_cores=1, seed=self.profile.seed)
+        return self._build_core(mem, 0, graph, ports, self._trace_factory,
+                                self.profile.faults)
 
     def build_runtime(self):
         """The profile's runtime: a binary, or a sharded runtime when
         ``n_cores > 1`` (what ``from_profile(...).build_runtime()`` is for)."""
-        if self.n_cores > 1:
+        if self.profile.n_cores > 1:
             return self.build_sharded()
         return self.build()
 
-    def build_sharded(self, n_cores: Optional[int] = None, rss=None):
+    def build_sharded(self):
         """Build an RSS-sharded runtime: one shared arrival stream per
-        port, Toeplitz-steered across ``n_cores`` per-core replicas.
+        port, Toeplitz-steered across the profile's ``n_cores`` per-core
+        replicas, with the profile's ``rss`` steering knobs.
 
         Every replica is a full :class:`SpecializedBinary` (own CpuCore,
         PMDs, driver) built by the same ``_build_core``
@@ -209,61 +198,55 @@ class PacketMill:
         from repro.dpdk.nic import MultiQueueNic
         from repro.net.rss import MEMPOOL_SHARED, RssConfig
 
-        n = self.n_cores if n_cores is None else n_cores
-        if n < 1:
-            raise BuildError("need at least one core")
-        config = rss or self.rss or RssConfig()
-        graph = ProcessingGraph.from_text(self.config)
-        ports = sorted(
-            {e.param("port") for e in graph.by_class("FromDPDKDevice")}
-            | {e.param("port") for e in graph.by_class("ToDPDKDevice")}
-        )
-        if not ports:
-            raise BuildError("configuration uses no DPDK ports")
-        mem = MemorySystem(self.params, n_cores=n, seed=self.seed)
+        profile = self.profile
+        n = profile.n_cores
+        config = profile.rss or RssConfig()
+        graph, ports = self._parse()
+        mem = MemorySystem(self.params, n_cores=n, seed=profile.seed)
+        # An automatic ingest budget is sized by the configuration's burst.
+        port_config = replace(config, ingest_budget=config.ingest_budget_for(
+            rx_burst(graph), n))
         # One physical multi-queue port per DPDK port; the port's shared
         # arrival stream is the (port, core=0) trace.
         mqs = {
             port: MultiQueueNic(
-                self._trace_factory(port, 0), n, config,
-                port=port, name="port%d" % port, burst=self.burst,
+                self._trace_factory(port, 0), n, port_config,
+                port=port, name="port%d" % port,
             )
             for port in ports
         }
-        saved_factory = self._trace_factory
-        saved_faults = self.faults
+
+        def queue_trace(port, core):
+            return mqs[port].queue_trace(core)
+
         replicas: List[SpecializedBinary] = []
-        try:
-            self._trace_factory = (
-                lambda port, core: mqs[port].queue_trace(core)
-            )
-            for core in range(n):
-                if saved_faults is not None:
-                    # Per-queue fault scoping: a core whose filtered
-                    # schedule is empty gets no injector at all.
-                    self.faults = saved_faults.for_queue(core)
-                if config.mempool == MEMPOOL_SHARED and replicas:
-                    self._model_override = replicas[0].model
-                replicas.append(self._build_core(mem, core_id=core))
-        finally:
-            self._trace_factory = saved_factory
-            self.faults = saved_faults
-            self._model_override = None
+        for core in range(n):
+            if core:
+                graph = ProcessingGraph.from_text(self.config)
+            # Per-queue fault scoping: a core whose filtered schedule is
+            # empty gets no injector at all.
+            faults = (profile.faults.for_queue(core)
+                      if profile.faults is not None else None)
+            shared_model = (replicas[0].model
+                            if config.mempool == MEMPOOL_SHARED and replicas
+                            else None)
+            replicas.append(self._build_core(mem, core, graph, ports,
+                                             queue_trace, faults,
+                                             shared_model))
         for core, binary in enumerate(replicas):
             for port, pmd in binary.pmds.items():
                 mqs[port].bind_queue(core, pmd.nic)
         return ShardedRuntime(replicas, mqs, config=config)
 
-    def _build_core(self, mem: MemorySystem, core_id: int) -> SpecializedBinary:
+    def _build_core(self, mem: MemorySystem, core_id: int,
+                    graph: ProcessingGraph, ports: List[int],
+                    trace_factory: TraceFactory, faults,
+                    shared_model=None) -> SpecializedBinary:
+        """One core's binary over ``graph``.  A sharded build with a shared
+        mempool passes core 0's model as ``shared_model`` (one pool, one
+        set of buffers) instead of setting up a partitioned per-core one."""
         options = self.options
         params = self.params
-        graph = ProcessingGraph.from_text(self.config)
-        ports = sorted(
-            {e.param("port") for e in graph.by_class("FromDPDKDevice")}
-            | {e.param("port") for e in graph.by_class("ToDPDKDevice")}
-        )
-        if not ports:
-            raise BuildError("configuration uses no DPDK ports")
         # Half-wired configurations fail here, naming element and port,
         # instead of silently never delivering packets to the gap.
         graph.check_required_inputs()
@@ -278,18 +261,20 @@ class PacketMill:
         cpu = CpuCore(params, mem, core_id)
         # One registry per binary; the shared memory system's per-core
         # counters are mounted under cpu. so the cache model's live
-        # handles and this build's telemetry read the same cells.
-        telemetry = Telemetry(config=self.telemetry_config)
+        # handles and this build's telemetry read the same cells.  The
+        # optional recorders (windows, attribution, spans) only exist when
+        # a config is given -- observation charges nothing either way.
+        telemetry = self.profile.telemetry
+        telemetry = Telemetry(config=TelemetryConfig() if telemetry is True
+                              else telemetry or None)
         telemetry.registry.mount("cpu", mem.registry_for(core_id))
         # Disjoint per-core address ranges: replicas share the LLC but must
         # not alias each other's lines.
-        space = AddressSpace(seed=self.seed + core_id, offset=core_id << 36)
+        space = AddressSpace(seed=self.profile.seed + core_id,
+                             offset=core_id << 36)
 
-        # A sharded build with a shared mempool reuses core 0's model
-        # instance (one pool, one set of buffers) instead of setting up a
-        # partitioned per-core one.
-        shared_model = self._model_override is not None
-        model = self._model_override if shared_model else self._make_model()
+        model = (make_model(options.metadata_model) if shared_model is None
+                 else shared_model)
         if options.reorder_metadata and not model.reorder_allowed:
             raise BuildError(
                 "metadata model %r does not allow struct reordering" % model.name
@@ -306,7 +291,7 @@ class PacketMill:
                     "restriction the paper contrasts X-Change against)"
                     % (model.name, ", ".join(holders))
                 )
-        if not shared_model:
+        if shared_model is None:
             model.setup(space, params)
 
         # -- element state allocation (static graph vs. scattered heap) -----
@@ -356,17 +341,17 @@ class PacketMill:
         # -- fault wiring (inert unless a non-empty schedule was given) --------
         injector = None
         watchdog = None
-        if self.faults is not None and not self.faults.is_empty:
+        if faults is not None and not faults.is_empty:
             # Offset the seed per core so replicas see decorrelated-but-
             # deterministic fault sequences.
-            injector = FaultInjector(self.faults, seed=self.faults.seed + 7919 * core_id)
+            injector = FaultInjector(faults, seed=faults.seed + 7919 * core_id)
             if model.mempool is not None:
                 injector.bind_mempool(model.mempool)
-            watchdog = Watchdog(self.watchdog_threshold)
+            watchdog = Watchdog(self.profile.watchdog_threshold)
 
         pmds: Dict[int, MlxPmd] = {}
         for port in ports:
-            trace = self._trace_factory(port, core_id)
+            trace = trace_factory(port, core_id)
             nic = Nic(params, mem, space, trace,
                       name="nic%d_c%d" % (port, core_id), port=port,
                       registry=telemetry.registry)
@@ -380,14 +365,15 @@ class PacketMill:
 
         # -- QoS buffer pools (absent unless a config was given) ---------------
         qos_ports: Dict[int, QosPort] = {}
-        if self.qos is not None:
-            for port in (self.qos.ports or ports):
+        qos = self.profile.qos
+        if qos is not None:
+            for port in (qos.ports or ports):
                 if port not in pmds:
                     raise BuildError(
                         "QoS config names port %d, which the configuration "
                         "does not use" % port
                     )
-                pool = QosPort(self.qos, port, registry=telemetry.registry)
+                pool = QosPort(qos, port, registry=telemetry.registry)
                 qos_ports[port] = pool
                 pmds[port].nic.qos = pool
         for element in graph.by_class("PFCPause"):
@@ -402,7 +388,7 @@ class PacketMill:
 
         dispatch = self._dispatch_policy()
         driver = RouterDriver(
-            graph, cpu, params, exec_programs, dispatch, pmds, burst=self.burst,
+            graph, cpu, params, exec_programs, dispatch, pmds,
             injector=injector, watchdog=watchdog, telemetry=telemetry,
             qos_ports=qos_ports or None,
             layout_registry=registry,

@@ -16,7 +16,8 @@ passed around:
 ``PacketMill(config, telemetry=True)`` and the profile form build the
 same thing.  A keyword that names no field -- in ``PacketMill(...)`` or
 :meth:`RunProfile.with_overrides` -- raises :class:`ProfileError`
-naming it, and so does a bad ``n_cores``, ``burst`` or ``seed``.
+naming it, and so does a bad ``n_cores`` or ``seed``.  The burst is
+not a field: the configuration states it (``FromDPDKDevice(BURST n)``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class RunProfile:
     - ``trace``: a trace generator, or a ``(port, core) -> generator``
       factory (default: cached campus trace per port/core).
     - ``seed``: address-space / memory-system seed.
-    - ``burst``: driver burst size (default: from ``options``).
     - ``faults``: a :class:`~repro.faults.schedule.FaultSchedule`; wiring
       is inert when ``None`` or empty.
     - ``watchdog_threshold``: stall iterations before a watchdog reset.
@@ -76,7 +76,6 @@ class RunProfile:
     params: Optional[MachineParams] = None
     trace: Union[None, object, Callable[[int, int], object]] = None
     seed: int = 0
-    burst: Optional[int] = None
     faults: Optional[FaultSchedule] = None
     watchdog_threshold: int = DEFAULT_THRESHOLD
     telemetry: Union[None, bool, TelemetryConfig] = None
@@ -89,9 +88,6 @@ class RunProfile:
         for name, ok, expected in (
                 ("n_cores", type(self.n_cores) is int and self.n_cores > 0,
                  "a positive int"),
-                ("burst", self.burst is None
-                 or (type(self.burst) is int and self.burst > 0),
-                 "None or a positive int"),
                 ("seed", type(self.seed) is int, "an int")):
             if not ok:
                 raise ProfileError("RunProfile field %r must be %s, not %r"

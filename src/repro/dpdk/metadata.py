@@ -479,7 +479,12 @@ class XChangeModel(MetadataModel):
 
 
 def make_model(name: str) -> MetadataModel:
-    """Factory by model name ("copying" | "overlaying" | "xchange" | "tinynf")."""
+    """The metadata model a build's options name.
+
+    ``name`` is a :class:`repro.core.options.MetadataModel` (a ``str``
+    enum) or its value: "copying" | "overlaying" | "xchange" | "tinynf".
+    X-Change gets FastClick's conversion functions, as PacketMill wires it.
+    """
     from repro.dpdk.tinynf import TinyNfModel  # local: avoids an import cycle
 
     models = {

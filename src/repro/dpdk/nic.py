@@ -19,6 +19,7 @@ the delivery path is byte-identical to the fault-free model.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -27,6 +28,10 @@ from repro.dpdk.ring import DescriptorRing
 from repro.net.packet import Packet
 from repro.net.rss import IndirectionTable, RssConfig, ToeplitzKey, parse_flow, toeplitz_v4
 from repro.telemetry.registry import CounterRegistry
+
+#: The RX burst of a configuration that states no ``BURST``, and the one
+#: a :class:`MultiQueueNic` built outside PacketMill sizes its ingest for.
+DEFAULT_BURST = 32
 
 #: Every xstat the port exposes, in DPDK display order.
 NIC_FIELDS = (
@@ -341,7 +346,7 @@ class MultiQueueNic:
     """
 
     def __init__(self, trace, n_queues: int, config: Optional[RssConfig] = None,
-                 port: int = 0, name: str = "port0", burst: int = 32):
+                 port: int = 0, name: str = "port0"):
         if n_queues < 1:
             raise ValueError("need at least one RX queue")
         self.trace = trace
@@ -352,8 +357,8 @@ class MultiQueueNic:
         self.key = ToeplitzKey(self.config.key)
         self.table = IndirectionTable(n_queues, self.config.table_size)
         self.backlog_cap = self.config.backlog_cap
-        self.ingest_budget = (self.config.ingest_budget
-                              or max(64, 4 * burst * n_queues))
+        self.ingest_budget = self.config.ingest_budget_for(DEFAULT_BURST,
+                                                           n_queues)
         self.backlogs: List[Deque[Packet]] = [deque() for _ in range(n_queues)]
         #: queue id -> per-core Nic replica (bound by the sharded builder).
         self.queues: List[Optional[Nic]] = [None] * n_queues
@@ -386,8 +391,14 @@ class MultiQueueNic:
         return QueueTrace(self, queue_id)
 
     def bind_queue(self, queue_id: int, nic: Nic) -> None:
-        """Associate the per-core ``Nic`` that services ``queue_id``."""
-        self.queues[queue_id] = nic
+        """Associate the per-core ``Nic`` that services ``queue_id``.
+
+        The port holds it weakly: the ``Nic`` already holds the port
+        through its :class:`QueueTrace`, and a strong reference back would
+        make every sharded build a reference cycle that keeps the whole
+        memory system alive until the next full garbage collection.
+        """
+        self.queues[queue_id] = weakref.proxy(nic)
 
     def steer(self, pkt: Packet) -> int:
         """RSS: hash the frame's 5-tuple, index the indirection table.

@@ -11,8 +11,9 @@ flip it:
   ``yes``, the default) or off (``0``/``false``/``off``/``no``).
 - ``REPRO_JOBS`` -- sweep worker count, a positive integer (default: the
   CPU count).
-- ``REPRO_SWEEP`` -- sweep execution: ``auto`` (the default), ``serial``
-  or ``parallel``.
+- ``REPRO_SWEEP`` -- ``serial`` runs every sweep in-process, as one
+  job whatever ``jobs=`` says; ``auto`` (the default) and ``parallel``
+  are the same value: ``REPRO_JOBS`` workers.
 
 An unset or empty variable takes its default.  Any other value raises
 :class:`EnvVarError` naming the variable, the value and what it accepts;

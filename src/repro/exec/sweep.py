@@ -9,9 +9,9 @@ is a pure function of its spec (one fresh ``MemorySystem``/RNG universe
 per point -- points never share simulator state, which is what makes the
 fan-out sound).
 
-Worker count comes from ``REPRO_JOBS`` (else the CPU count); set
-``REPRO_SWEEP=serial`` (or ``jobs=1``) to force in-process execution
-(both are read through :mod:`repro.exec.env`).
+Worker count comes from ``jobs=``, else ``REPRO_JOBS``, else the CPU
+count; one job runs in-process.  ``REPRO_SWEEP=serial`` makes it one job
+whatever the others say (both are read through :mod:`repro.exec.env`).
 Pool infrastructure failures (sandboxed environments without working
 ``fork``, pickling regressions) degrade to the serial path rather than
 failing the experiment.
@@ -113,7 +113,6 @@ class PointSpec:
     seed: int = 0
     n_cores: int = 1
     params_overrides: Tuple[Tuple[str, object], ...] = ()
-    burst: Optional[int] = None
     rss: Optional[RssConfig] = None
 
     def execute(self):
@@ -126,7 +125,8 @@ class PointSpec:
             params=params,
             trace=(self.trace or CAMPUS_TRACE).factory(),
             seed=self.seed,
-            burst=self.burst,
+            n_cores=self.n_cores,
+            rss=self.rss,
         )
         if self.n_cores == 1:
             return measure_throughput(
@@ -135,7 +135,7 @@ class PointSpec:
                 warmup_batches=self.warmup_batches,
             )
         return measure_sharded(
-            mill.build_sharded(self.n_cores, rss=self.rss),
+            mill.build_sharded(),
             batches=self.batches,
             warmup_batches=self.warmup_batches,
         )
@@ -181,13 +181,14 @@ def default_jobs() -> int:
 class SweepEngine:
     """Fan sweep points out over worker processes, results in order."""
 
-    def __init__(self, jobs: Optional[int] = None, mode: Optional[str] = None):
+    def __init__(self, jobs: Optional[int] = None):
+        if env.sweep_mode() == "serial":
+            jobs = 1
         self.jobs = jobs if jobs is not None else default_jobs()
-        self.mode = mode or env.sweep_mode()
 
     @property
     def parallel(self) -> bool:
-        return self.mode != "serial" and self.jobs > 1
+        return self.jobs > 1
 
     def run(self, specs: Sequence) -> List:
         specs = list(specs)
@@ -223,7 +224,6 @@ class SweepEngine:
         return results
 
 
-def run_points(specs: Sequence, jobs: Optional[int] = None,
-               mode: Optional[str] = None) -> List:
-    """One-shot convenience: ``SweepEngine(jobs, mode).run(specs)``."""
-    return SweepEngine(jobs=jobs, mode=mode).run(specs)
+def run_points(specs: Sequence, jobs: Optional[int] = None) -> List:
+    """One-shot convenience: ``SweepEngine(jobs).run(specs)``."""
+    return SweepEngine(jobs=jobs).run(specs)

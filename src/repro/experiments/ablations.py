@@ -22,7 +22,6 @@ from typing import Dict, List
 
 from repro.core.nfs import forwarder
 from repro.core.options import BuildOptions, MetadataModel
-from repro.dpdk.xchg_api import fastclick_conversions
 from repro.exec import cache as exec_cache
 from repro.exec.sweep import PointSpec, TraceKey, run_points
 from repro.experiments.common import QUICK, Scale
@@ -97,10 +96,8 @@ def burst_size(scale: Scale = QUICK) -> AblationResult:
     returns once the poll/doorbell share is negligible."""
     bursts = (4, 8, 16, 32, 64, 128)
     specs = [
-        PointSpec(forwarder(burst=burst),
-                  dc_replace(BuildOptions.packetmill(), burst=burst),
-                  FREQ, scale.batches, scale.warmup_batches, trace=TRACE,
-                  burst=burst)
+        PointSpec(forwarder(burst=burst), BuildOptions.packetmill(),
+                  FREQ, scale.batches, scale.warmup_batches, trace=TRACE)
         for burst in bursts
     ]
     rows = [
@@ -121,8 +118,7 @@ def check_burst_size(result: AblationResult) -> None:
 
 def xchg_meta_buffers(scale: Scale = QUICK) -> AblationResult:
     """The metadata working set: a handful of buffers stays L1-warm; a
-    mempool-sized population cycles through the cache like rte_mbufs.
-    A fixed-length PMD loop: ``scale`` is unused."""
+    mempool-sized population cycles through the cache like rte_mbufs."""
     from repro.dpdk.metadata import XChangeModel
     from repro.dpdk.nic import Nic
     from repro.dpdk.pmd import MlxPmd
@@ -137,21 +133,20 @@ def xchg_meta_buffers(scale: Scale = QUICK) -> AblationResult:
         mem = MemorySystem(params)
         cpu = CpuCore(params, mem)
         space = AddressSpace(seed=0)
-        model = XChangeModel(conversions=fastclick_conversions(), meta_buffers=count)
+        model = XChangeModel(meta_buffers=count)
         model.setup(space, params)
         registry = LayoutRegistry()
         model.register_layouts(registry)
         nic = Nic(params, mem, space,
                   exec_cache.trace_from_spec("fixed", FRAME, TraceSpec(seed=2)))
         pmd = MlxPmd(nic, model, cpu, registry, lto=True)
-        for _ in range(60):
+        for _ in range(scale.warmup_batches):
             pmd.tx_burst(pmd.rx_burst(32))
         cpu.reset()
         mem.reset_counters()
-        n_batches = 150
-        for _ in range(n_batches):
+        for _ in range(scale.batches):
             pmd.tx_burst(pmd.rx_burst(32))
-        packets = n_batches * 32
+        packets = scale.batches * 32
         rows.append({
             "meta_buffers": count,
             "ns_per_pkt": cpu.elapsed_ns() / packets,

@@ -7,33 +7,24 @@ the two pure-DPDK sample applications (l2fwd, l2fwd-xchg) bypass the
 modular framework entirely.
 """
 
-from repro.frameworks.click_based import (
-    bess_forwarder,
-    fastclick_forwarder,
-    fastclick_light_forwarder,
-    packetmill_forwarder,
-    vpp_forwarder,
-)
+from functools import partial
+
+from repro.frameworks.click_based import CLICK_FRAMEWORKS, click_forwarder
 from repro.frameworks.l2fwd import L2fwdBinary, l2fwd, l2fwd_xchg
 
+#: Framework label -> ``builder(params, frame_len, seed=0)``.
 FRAMEWORK_BUILDERS = {
-    "FastClick (Copying)": fastclick_forwarder,
-    "FastClick-Light (Overlaying)": fastclick_light_forwarder,
-    "PacketMill (X-Change)": packetmill_forwarder,
-    "VPP": vpp_forwarder,
-    "BESS": bess_forwarder,
+    **{label: partial(click_forwarder, options, burst)
+       for label, (options, burst) in CLICK_FRAMEWORKS.items()},
     "l2fwd": l2fwd,
     "l2fwd-xchg": l2fwd_xchg,
 }
 
 __all__ = [
+    "CLICK_FRAMEWORKS",
     "FRAMEWORK_BUILDERS",
     "L2fwdBinary",
-    "bess_forwarder",
-    "fastclick_forwarder",
-    "fastclick_light_forwarder",
+    "click_forwarder",
     "l2fwd",
     "l2fwd_xchg",
-    "packetmill_forwarder",
-    "vpp_forwarder",
 ]

@@ -1,6 +1,8 @@
 """Click-family baselines built through the PacketMill pipeline.
 
-Framework differences, per the paper's §2/§4.6 descriptions:
+Each framework is one row of :data:`CLICK_FRAMEWORKS` (build options and
+RX burst) fed to :func:`click_forwarder`.  Framework differences, per the
+paper's §2/§4.6 descriptions:
 
 - **FastClick** -- Copying model (its default), dynamic graph, LTO on
   (every §4.6 build uses LTO so models compare at their best).
@@ -9,14 +11,12 @@ Framework differences, per the paper's §2/§4.6 descriptions:
 - **BESS** -- Overlaying by design (``sn_buff`` over the mbuf), lean
   run-to-completion pipeline, so it matches FastClick-Light.
 - **VPP** -- Copying+Overlaying hybrid (casts the mbuf but still copies
-  fields into ``vlib_buffer_t`` for SSE-friendliness), large vectors; the
+  fields into ``vlib_buffer_t`` for SSE-friendliness), 256-packet vectors; the
   paper measures it at Copying-level performance.
 - **PacketMill** -- X-Change + all source-code optimizations + LTO.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.nfs import forwarder
 from repro.core.options import BuildOptions, MetadataModel
@@ -24,43 +24,24 @@ from repro.core.packetmill import PacketMill
 from repro.hw.params import MachineParams
 from repro.net.trace import FixedSizeTraceGenerator, TraceSpec
 
-
-def _trace(frame_len: int, seed: int):
-    return lambda port, core: FixedSizeTraceGenerator(
-        frame_len, TraceSpec(seed=seed + port)
-    )
-
-
-def fastclick_forwarder(params: MachineParams, frame_len: int, seed: int = 0):
-    """Default FastClick: Copying model, dynamic graph."""
-    options = BuildOptions.metadata(MetadataModel.COPYING)
-    return PacketMill(forwarder(), options, params=params,
-                      trace=_trace(frame_len, seed), seed=seed).build()
+#: Framework label -> (build options, RX burst) of its forwarder.
+CLICK_FRAMEWORKS = {
+    "FastClick (Copying)": (BuildOptions.metadata(MetadataModel.COPYING), 32),
+    "FastClick-Light (Overlaying)":
+        (BuildOptions.metadata(MetadataModel.OVERLAYING), 32),
+    "PacketMill (X-Change)": (BuildOptions.packetmill(), 32),
+    "VPP": (BuildOptions.metadata(MetadataModel.COPYING), 256),
+    "BESS": (BuildOptions.metadata(MetadataModel.OVERLAYING), 32),
+}
 
 
-def fastclick_light_forwarder(params: MachineParams, frame_len: int, seed: int = 0):
-    """FastClick with extra features disabled, Overlaying model."""
-    options = BuildOptions.metadata(MetadataModel.OVERLAYING)
-    return PacketMill(forwarder(), options, params=params,
-                      trace=_trace(frame_len, seed), seed=seed).build()
+def click_forwarder(options: BuildOptions, burst: int, params: MachineParams,
+                    frame_len: int, seed: int = 0):
+    """A ``burst``-packet forwarder built with ``options``, fed
+    ``frame_len``-byte frames."""
+    def trace(port, core):
+        return FixedSizeTraceGenerator(frame_len, TraceSpec(seed=seed + port))
 
+    return PacketMill(forwarder(burst=burst), options, params=params,
+                      trace=trace, seed=seed).build()
 
-def bess_forwarder(params: MachineParams, frame_len: int, seed: int = 0):
-    """BESS: overlaying metadata, lean module pipeline (batch 32)."""
-    options = BuildOptions.metadata(MetadataModel.OVERLAYING)
-    return PacketMill(forwarder(), options, params=params,
-                      trace=_trace(frame_len, seed), seed=seed).build()
-
-
-def vpp_forwarder(params: MachineParams, frame_len: int, seed: int = 0):
-    """VPP: copy-based vlib buffers, 256-packet vectors."""
-    options = BuildOptions.metadata(MetadataModel.COPYING)
-    return PacketMill(forwarder(burst=256), options, params=params,
-                      trace=_trace(frame_len, seed), seed=seed, burst=256).build()
-
-
-def packetmill_forwarder(params: MachineParams, frame_len: int, seed: int = 0,
-                         options: Optional[BuildOptions] = None):
-    """The full PacketMill system."""
-    return PacketMill(forwarder(), options or BuildOptions.packetmill(),
-                      params=params, trace=_trace(frame_len, seed), seed=seed).build()

@@ -216,8 +216,7 @@ class RssConfig:
 
     ``ingest_budget`` caps how many arrivals one queue poll may pull from
     the shared trace while hunting for a frame of its own (``None`` =
-    auto: ``4 * burst * n_queues``, enough for moderate imbalance to keep
-    every queue's bursts full).
+    auto, see :meth:`ingest_budget_for`).
 
     ``steering`` attaches an adaptive-steering control loop
     (:class:`~repro.net.steering.SteeringPolicy`): the sharded runtime
@@ -248,6 +247,12 @@ class RssConfig:
         if self.steering is not None and not isinstance(self.steering,
                                                         SteeringPolicy):
             raise ValueError("steering must be a SteeringPolicy (or None)")
+
+    def ingest_budget_for(self, burst: int, n_queues: int) -> int:
+        """``ingest_budget``, or the auto one: four ``burst``-packet polls
+        per queue (at least 64), enough for moderate imbalance to keep
+        every queue's bursts full."""
+        return self.ingest_budget or max(64, 4 * burst * n_queues)
 
 
 # -- frame parsing ----------------------------------------------------------

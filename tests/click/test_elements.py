@@ -88,6 +88,15 @@ class TestConfigErrors:
                            match="%s: BURST must be positive" % element):
             PacketMill(config).build()
 
+    @pytest.mark.parametrize("element", ["FromDPDKDevice", "ToDPDKDevice"])
+    def test_burst_above_256_is_refused(self, element):
+        config = "FromDPDKDevice(PORT 0) -> ToDPDKDevice(PORT 0);".replace(
+            "%s(PORT 0" % element, "%s(PORT 0, BURST 257" % element)
+        with pytest.raises(ElementConfigError,
+                           match="%s: BURST must be .* at most 256" % element):
+            PacketMill(config).build()
+        PacketMill(config.replace("257", "256")).build()
+
 
 class TestEtherElements:
     def test_mirror_swaps(self):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.options import BuildOptions, MetadataModel, OptionsError
-from repro.core.xchange import (
+from repro.dpdk.metadata import XChangeModel
+from repro.dpdk.xchg_api import (
     fastclick_conversions,
-    make_fastclick_xchange,
     minimal_conversions,
     standard_dpdk_conversions,
 )
@@ -49,12 +49,6 @@ class TestBuildOptions:
         assert options.reorder_metadata
         assert options.metadata_model is MetadataModel.COPYING
 
-    def test_burst_bounds(self):
-        with pytest.raises(OptionsError):
-            BuildOptions(burst=0)
-        with pytest.raises(OptionsError):
-            BuildOptions(burst=1000)
-
     def test_with_model(self):
         options = BuildOptions.metadata(MetadataModel.OVERLAYING)
         assert options.with_model(MetadataModel.XCHANGE).metadata_model is MetadataModel.XCHANGE
@@ -90,7 +84,7 @@ class TestConversionSets:
         with pytest.raises(KeyError):
             minimal_conversions().target_of("vlan_tci")
 
-    def test_make_fastclick_xchange(self):
-        model = make_fastclick_xchange(meta_buffers=32)
+    def test_xchange_model_defaults_to_fastclick_conversions(self):
+        model = XChangeModel(meta_buffers=32)
         assert model.meta_buffers == 32
         assert model.conversions.name == "fastclick"

@@ -84,6 +84,23 @@ class TestBuild:
         assert binary.trace is trace
 
 
+class TestBurstFromConfig:
+    """The configuration's FromDPDKDevice BURST is the build's one burst."""
+
+    def test_driver_drains_by_the_config_burst(self):
+        assert PacketMill(nfs.forwarder(burst=16)).build().driver.burst == 16
+
+    def test_largest_rx_burst_wins(self):
+        binary = PacketMill(nfs.forwarder_two_nics().replace(
+            "PORT 1, N_QUEUES 1, BURST 32", "PORT 1, N_QUEUES 1, BURST 64"
+        )).build()
+        assert binary.driver.burst == 64
+
+    def test_rss_ingest_budget_follows_the_config_burst(self):
+        runtime = PacketMill(nfs.forwarder(burst=16), n_cores=2).build_sharded()
+        assert runtime.ports[0].ingest_budget == max(64, 4 * 16 * 2)
+
+
 class TestReordering:
     def test_reorder_changes_packet_layout(self):
         plain = mill(options=BuildOptions(lto=True)).build()

@@ -27,16 +27,15 @@ def test_defaults_match_packetmill_defaults():
     via_kwargs = PacketMill(router())
     assert via_profile.options == via_kwargs.options
     assert via_profile.params == via_kwargs.params
-    assert via_profile.burst == via_kwargs.burst
 
 
 def test_kwargs_shim_builds_the_same_profile():
     options = BuildOptions.packetmill()
     params = MachineParams().at_frequency(2.3)
-    mill = PacketMill(router(), options, params=params, seed=3, burst=16,
+    mill = PacketMill(router(), options, params=params, seed=3,
                       analyze="warn")
     assert mill.profile == RunProfile(options=options, params=params,
-                                      seed=3, burst=16, analyze="warn")
+                                      seed=3, analyze="warn")
 
 
 def test_from_profile_measures_identically_to_kwargs():
@@ -66,7 +65,7 @@ def test_describe_lists_only_non_defaults():
     assert RunProfile().describe() == "(defaults)"
     text = RunProfile(seed=9, analyze="warn").describe()
     assert "seed=9" in text and "warn" in text
-    assert "burst" not in text
+    assert "n_cores" not in text
 
 
 def _trace_factory(port, core):  # pragma: no cover - never called
@@ -79,7 +78,6 @@ SAMPLE_FIELDS = {
     "params": MachineParams().at_frequency(2.3),
     "trace": _trace_factory,
     "seed": 3,
-    "burst": 16,
     "faults": FaultSchedule(),
     "watchdog_threshold": 7,
     "telemetry": TelemetryConfig(),
@@ -105,10 +103,11 @@ def test_every_field_is_a_packetmill_keyword(name):
 @pytest.mark.parametrize("name, call", [
     ("facts", lambda: PacketMill(router(), facts=True)),
     ("tier", lambda: PacketMill(router(), tier="codegen")),
+    ("burst", lambda: PacketMill(router(), burst=16)),
     ("bogus", lambda: PacketMill(router(), bogus=1)),
     ("bogus", lambda: RunProfile().with_overrides(bogus=1)),
-], ids=["packetmill-facts", "packetmill-tier", "packetmill-bogus",
-        "with-overrides-bogus"])
+], ids=["packetmill-facts", "packetmill-tier", "packetmill-burst",
+        "packetmill-bogus", "with-overrides-bogus"])
 def test_unknown_field_is_refused_by_name(name, call):
     with pytest.raises(ProfileError, match="unknown RunProfile field %r"
                        % name) as info:
@@ -117,8 +116,8 @@ def test_unknown_field_is_refused_by_name(name, call):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("n_cores", 0), ("n_cores", -2), ("n_cores", 1.0), ("burst", 0),
-    ("burst", -3), ("burst", True), ("seed", "x"), ("seed", None),
+    ("n_cores", 0), ("n_cores", -2), ("n_cores", 1.0), ("seed", "x"),
+    ("seed", None),
 ])
 def test_bad_value_is_refused_by_name(name, value):
     message = "RunProfile field %r must be" % name

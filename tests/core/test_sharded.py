@@ -1,5 +1,8 @@
 """Tests for the RSS-sharded runtime: identity, conservation, scoping."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.nfs import nat_router
@@ -94,6 +97,19 @@ class TestShardedBuild:
         runtime = build_sharded(n_cores=2)
         pool_a, pool_b = (b.model.mempool.region for b in runtime.replicas)
         assert pool_a.end <= pool_b.base or pool_b.end <= pool_a.base
+
+    def test_dropped_runtime_is_freed_without_the_cycle_collector(self):
+        # A port and the Nics bound to it must not form a reference cycle
+        # that keeps the shared memory system alive until a full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            runtime = build_sharded(n_cores=2)
+            mem = weakref.ref(runtime.replicas[0].mem)
+            del runtime
+            assert mem() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n_cores", [0, -1])
     def test_rejects_fewer_than_one_core(self, n_cores):
@@ -236,7 +252,7 @@ class TestShardedScaling:
         points = []
         for cores in (3, 4):
             runtime = PacketMill(nat_router(), BuildOptions.packetmill(),
-                                 params=params).build_sharded(cores)
+                                 params=params, n_cores=cores).build_sharded()
             point = measure_sharded(runtime, batches=80, warmup_batches=40)
             runs = runtime.runs()
             assert point.mean_frame_len == (

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.compiler.structlayout import LayoutRegistry
+from repro.core.nfs import forwarder
+from repro.core.options import BuildOptions, MetadataModel
 from repro.dpdk.metadata import (
     MBUF_RX_FIELDS,
     PACKET_COMMON_FIELDS,
@@ -115,5 +117,23 @@ class TestBufferLifecycles:
         assert app.data_addr != rx.data_addr
 
     def test_factory_all_names(self):
-        for name in ("copying", "overlaying", "xchange", "tinynf"):
-            assert make_model(name).name == name
+        # The options' MetadataModel is a str enum: member and value alike.
+        for model in MetadataModel:
+            assert make_model(model).name == model.value
+            assert make_model(model.value).name == model.value
+
+    def test_build_and_analysis_share_the_factory(self, monkeypatch):
+        import repro.core.packetmill as packetmill
+        import repro.dpdk.metadata as metadata
+
+        calls = []
+
+        def spy(name):
+            calls.append(name)
+            return make_model(name)
+
+        monkeypatch.setattr(packetmill, "make_model", spy)
+        monkeypatch.setattr(metadata, "make_model", spy)
+        packetmill.PacketMill(forwarder(), BuildOptions.packetmill(),
+                              analyze="warn").build()
+        assert calls == [MetadataModel.XCHANGE, MetadataModel.XCHANGE]

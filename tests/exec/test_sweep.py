@@ -46,8 +46,9 @@ def _spec(**kwargs):
 
 class TestPicklability:
     def test_point_spec_roundtrips(self):
-        spec = _spec(trace=TraceKey("fixed", 512, seed=9, per_port=False),
-                     params_overrides=(("ddio_ways", 4),), burst=64)
+        spec = _spec(config=forwarder(burst=64),
+                     trace=TraceKey("fixed", 512, seed=9, per_port=False),
+                     params_overrides=(("ddio_ways", 4),))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
@@ -88,10 +89,13 @@ class TestPicklability:
 class TestEngine:
     def test_serial_and_forced_parallel_agree(self, monkeypatch):
         specs = [_spec(), _spec(options=BuildOptions.vanilla())]
-        serial = SweepEngine(jobs=1, mode="serial").run(specs)
+        serial = SweepEngine(jobs=1).run(specs)
         exec_cache.reset_caches()
         monkeypatch.setenv("REPRO_JOBS", "2")
-        parallel = SweepEngine(mode="parallel").run(specs)
+        monkeypatch.delenv("REPRO_SWEEP", raising=False)
+        engine = SweepEngine()
+        assert engine.parallel
+        parallel = engine.run(specs)
         assert serial == parallel
 
     def test_point_cache_short_circuits_repeat_sweeps(self):
@@ -114,6 +118,7 @@ class TestEngine:
         assert default_jobs() == 3
         assert SweepEngine().jobs == 3
         monkeypatch.setenv("REPRO_SWEEP", "serial")
+        assert SweepEngine(jobs=4).jobs == 1
         assert not SweepEngine().parallel
 
 

@@ -14,10 +14,9 @@ def test_profile_and_kwargs_builds_agree():
     params = MachineParams().at_frequency(2.3)
     exec_cache.reset_caches()
     via_profile = PacketMill.from_profile(
-        router(), RunProfile(options=options, params=params, burst=16)).build()
+        router(burst=16), RunProfile(options=options, params=params)).build()
     exec_cache.reset_caches()
-    via_kwargs = PacketMill(router(), options, params=params,
-                            burst=16).build()
+    via_kwargs = PacketMill(router(burst=16), options, params=params).build()
     assert type(via_profile.driver) is type(via_kwargs.driver)
     assert via_profile.options == via_kwargs.options
     assert sorted(via_profile.exec_programs) == sorted(via_kwargs.exec_programs)

@@ -73,13 +73,14 @@ class TestSweepPoints:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec and hash(clone) == hash(spec)
 
-    def test_serial_and_parallel_points_identical(self):
+    def test_serial_and_parallel_points_identical(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP", raising=False)
         specs = rss_imbalance.point_specs(
             SMOKE_PACKETS, SMOKE_BACKLOG_CAP)[:2]
         exec_cache.reset_caches()
         serial = run_points(specs, jobs=1)
         exec_cache.reset_caches()
-        parallel = run_points(specs, jobs=2, mode="parallel")
+        parallel = run_points(specs, jobs=2)
         exec_cache.reset_caches()
         assert [p.record() for p in serial] == [
             p.record() for p in parallel]

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.frameworks import (
-    FRAMEWORK_BUILDERS,
-    bess_forwarder,
-    fastclick_forwarder,
-    l2fwd,
-    l2fwd_xchg,
-    packetmill_forwarder,
-    vpp_forwarder,
-)
+from repro.frameworks import FRAMEWORK_BUILDERS, l2fwd, l2fwd_xchg
 from repro.hw.params import MachineParams
 from repro.perf.runner import measure_throughput
 
 PARAMS = MachineParams(freq_ghz=1.2)
+
+fastclick_forwarder = FRAMEWORK_BUILDERS["FastClick (Copying)"]
+bess_forwarder = FRAMEWORK_BUILDERS["BESS"]
+vpp_forwarder = FRAMEWORK_BUILDERS["VPP"]
+packetmill_forwarder = FRAMEWORK_BUILDERS["PacketMill (X-Change)"]
 
 
 def rate(builder, frame=256, **kwargs):

@@ -10,11 +10,11 @@ from repro.net.trace import FixedSizeTraceGenerator, TraceSpec
 from repro.perf.runner import _apply_ceilings, measure_sharded, measure_throughput
 
 
-def build(config=None, options=None, freq=2.3, frame=1024, seed=0):
+def build(config=None, options=None, freq=2.3, frame=1024, seed=0, **fields):
     params = MachineParams(freq_ghz=freq)
     trace = lambda port, core: FixedSizeTraceGenerator(frame, TraceSpec(seed=seed + port))
     return PacketMill(config or nfs.forwarder(), options or BuildOptions.vanilla(),
-                      params=params, trace=trace, seed=seed)
+                      params=params, trace=trace, seed=seed, **fields)
 
 
 class TestCeilings:
@@ -70,8 +70,8 @@ class TestMeasureThroughput:
 
 class TestMeasureMulticore:
     def test_two_cores_roughly_double(self):
-        mill = build(config=nfs.nat_router(), frame=1024)
-        one = measure_sharded(mill.build_sharded(1), batches=40, warmup_batches=20)
-        mill2 = build(config=nfs.nat_router(), frame=1024)
-        two = measure_sharded(mill2.build_sharded(2), batches=40, warmup_batches=20)
+        mill = build(config=nfs.nat_router(), frame=1024, n_cores=1)
+        one = measure_sharded(mill.build_sharded(), batches=40, warmup_batches=20)
+        mill2 = build(config=nfs.nat_router(), frame=1024, n_cores=2)
+        two = measure_sharded(mill2.build_sharded(), batches=40, warmup_batches=20)
         assert two.cpu_pps > one.cpu_pps * 1.7

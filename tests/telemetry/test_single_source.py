@@ -88,7 +88,7 @@ class TestLiveRunViews:
     def test_multicore_aggregation_merges_replicas(self):
         from repro.core.packetmill import PacketMill
 
-        runtime = PacketMill(router(), telemetry=True).build_sharded(2)
+        runtime = PacketMill(router(), telemetry=True, n_cores=2).build_sharded()
         runtime.run_batches(20)
         total = runtime.registry.snapshot()
         assert total["driver.rx_packets"] == sum(
