@@ -26,7 +26,8 @@ from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import execute_bases
 from repro.telemetry import Telemetry
 from repro.telemetry.attribution import DRIVER_BUCKET
-from repro.telemetry.registry import CounterRegistry
+from repro.telemetry.ledger import NIC_FIELDS
+from repro.telemetry.registry import CounterRegistry, CounterView
 
 DISPATCH_VIRTUAL = "virtual"
 DISPATCH_DIRECT = "direct"
@@ -67,66 +68,56 @@ class DispatchPolicy:
             cpu.charge_compute(4)
 
 
-#: Every run-level scalar, in the old dataclass field order.
-RUN_SCALARS = (
-    "batches", "rx_packets", "tx_packets", "tx_bytes", "drops",
-    # -- hardware drop counters (delta since the last stats reset) ---------
-    "rx_nombuf", "imissed", "rx_errors", "tx_full",
-    # -- software degradation counters -------------------------------------
-    "error_batches", "watchdog_resets", "clone_alloc_failures",
-)
-
-
-class RunStats:
+class RunStats(CounterView):
     """Functional outcome of one measurement run.
 
     Beyond the healthy-path totals, a run carries the degraded-path
-    ledger: hardware-level drops mirrored from the NICs (``rx_nombuf``,
-    ``imissed``, ``rx_errors``, ``tx_full``), element error-boundary
-    incidents, and watchdog recoveries.  All of these stay zero on a
-    fault-free run.
+    ledger: the NICs' hardware drops (``rx_nombuf``, ``imissed``,
+    ``rx_errors``, ``tx_full``), element error-boundary incidents, and
+    watchdog recoveries.  All of these stay zero on a fault-free run.
 
     A view over a :class:`repro.telemetry.registry.CounterRegistry`:
-    scalars live under ``driver.*`` and the per-element breakdowns under
-    ``element.<name>.drops`` / ``element.<name>.errors``, so handler
-    globs, window samples, and exports read the same cells this object
-    does.  Attribute access is unchanged, including keyword construction
-    (``RunStats(rx_packets=100, tx_packets=100)``); constructed bare, it
-    owns a private registry and behaves exactly like the old dataclass.
+    scalars live under ``driver.*``, the run's NIC delta under
+    ``driver.hw.*`` (the hardware drop attributes read those cells), and
+    the per-element breakdowns under ``element.<name>.drops`` /
+    ``element.<name>.errors``, so handler globs, window samples, and
+    exports read the same cells this object does.  Keyword construction
+    works (``RunStats(rx_packets=100, tx_packets=100)``); constructed
+    bare, it owns a private registry.
     """
 
-    __slots__ = ("registry", "_h", "_element_drops", "_element_errors",
-                 "_hw_names")
+    FIELDS = (
+        "batches", "rx_packets", "tx_packets", "tx_bytes", "drops",
+        # -- NIC drops: this run's delta, written by the driver ------------
+        "hw.rx_nombuf", "hw.imissed", "hw.rx_errors", "hw.tx_full",
+        # -- software degradation counters ---------------------------------
+        "error_batches", "watchdog_resets", "clone_alloc_failures",
+    )
+
+    __slots__ = ("_element_drops", "_element_errors")
 
     def __init__(self, registry: Optional[CounterRegistry] = None, **initial):
-        self._bind(registry if registry is not None else CounterRegistry())
-        for name, value in initial.items():
-            setattr(self, name, value)
+        super().__init__(registry, "driver", **initial)
 
-    def _bind(self, registry: CounterRegistry) -> None:
-        self.registry = registry
-        self._h = {
-            name: registry.counter("driver." + name) for name in RUN_SCALARS
-        }
+    def _bind(self, registry: CounterRegistry, prefix: str) -> None:
+        super()._bind(registry, prefix)
         self._element_drops: Dict[str, object] = {}
         self._element_errors: Dict[str, object] = {}
-        self._hw_names: List[str] = []
 
     def freeze(self) -> None:
         """Detach from shared storage, keeping the current values.
 
         Called by :meth:`RouterDriver.reset_stats` before the shared
         counters are zeroed for the next run, so references to this
-        object keep reading the finished run's numbers -- the same
-        semantics the old replace-the-dataclass reset had.
+        object keep reading the finished run's numbers.
         """
-        scalars = {name: self._h[name].value for name in RUN_SCALARS}
+        scalars = {name: cell.value for name, cell in self._cells.items()}
         drops = dict(self.drops_by_element)
         errors = dict(self.errors_by_element)
         hw = dict(self.hw_counters)
-        self._bind(CounterRegistry())
+        self._bind(CounterRegistry(), self.prefix)
         for name, value in scalars.items():
-            self._h[name].value = value
+            self._cells[name].value = value
         self.drops_by_element = drops
         self.errors_by_element = errors
         self.hw_counters = hw
@@ -142,13 +133,13 @@ class RunStats:
         return handle
 
     def record_drop(self, element_name: str, count: int = 1) -> None:
-        self._h["drops"].value += count
+        self._cells["drops"].value += count
         self._element_counter(
             self._element_drops, element_name, "drops"
         ).value += count
 
     def record_element_error(self, element_name: str) -> None:
-        self._h["error_batches"].value += 1
+        self._cells["error_batches"].value += 1
         self._element_counter(
             self._element_errors, element_name, "errors"
         ).value += 1
@@ -187,19 +178,15 @@ class RunStats:
 
     @property
     def hw_counters(self) -> Dict[str, int]:
-        """Aggregated NIC counter deltas (``driver.hw.*`` in the registry)."""
-        return {
-            name: self.registry.get("driver.hw." + name)
-            for name in self._hw_names
-        }
+        """This run's NIC counter deltas, summed over the core's ports
+        (``driver.hw.*`` in the registry)."""
+        return {name: self.registry.get("driver.hw." + name)
+                for name in NIC_FIELDS}
 
     @hw_counters.setter
     def hw_counters(self, values: Dict[str, int]) -> None:
-        for name in self._hw_names:
-            self.registry.counter("driver.hw." + name).value = 0
-        self._hw_names = list(values)
-        for name, value in values.items():
-            self.registry.counter("driver.hw." + name).value = value
+        for name in NIC_FIELDS:
+            self.registry.counter("driver.hw." + name).value = values.get(name, 0)
 
     # -- derived views -----------------------------------------------------------
 
@@ -216,40 +203,26 @@ class RunStats:
             or self.error_batches or self.watchdog_resets
         )
 
-    def snapshot(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            name: self._h[name].value for name in RUN_SCALARS
+    def ledger(self) -> Dict[str, int]:
+        """The run's drop ledger, keyed as a measured run's counters name
+        it: ``drops`` reads as ``sw_drops`` and ``error_batches`` as
+        ``element_errors``."""
+        return {
+            "rx_nombuf": self.rx_nombuf,
+            "imissed": self.imissed,
+            "rx_errors": self.rx_errors,
+            "tx_full": self.tx_full,
+            "sw_drops": self.drops,
+            "element_errors": self.error_batches,
+            "watchdog_resets": self.watchdog_resets,
         }
+
+    def snapshot(self) -> Dict[str, object]:
+        out: Dict[str, object] = super().snapshot()
         out["drops_by_element"] = self.drops_by_element
         out["errors_by_element"] = self.errors_by_element
         out["hw_counters"] = self.hw_counters
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunStats):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
-    def __repr__(self) -> str:
-        nonzero = {
-            name: value for name, value in self.snapshot().items() if value
-        }
-        return "RunStats(%s)" % ", ".join("%s=%r" % kv for kv in nonzero.items())
-
-
-def _run_scalar_property(name: str) -> property:
-    def fget(self):
-        return self._h[name].value
-
-    def fset(self, value):
-        self._h[name].value = value
-
-    return property(fget, fset, doc="Run scalar %r (registry-backed)." % name)
-
-
-for _name in RUN_SCALARS:
-    setattr(RunStats, _name, _run_scalar_property(_name))
-del _name
 
 
 class RouterDriver:
@@ -658,17 +631,12 @@ class RouterDriver:
         return total
 
     def _sync_hw_stats(self) -> None:
-        """Mirror the NIC counters into RunStats as a delta since reset."""
-        delta = {
-            name: value - self._hw_base.get(name, 0)
+        """Write the NIC counters' delta since reset under ``driver.hw.*``."""
+        base = self._hw_base
+        self.stats.hw_counters = {
+            name: value - base.get(name, 0)
             for name, value in self.hw_counters().items()
         }
-        stats = self.stats
-        stats.rx_nombuf = delta.get("rx_nombuf", 0)
-        stats.imissed = delta.get("imissed", 0)
-        stats.rx_errors = delta.get("rx_errors", 0)
-        stats.tx_full = delta.get("tx_full", 0)
-        stats.hw_counters = delta
 
     def _drain_queues(self, tx_queues) -> None:
         """Drain buffering elements at the end of the iteration.

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.click.driver import RouterDriver, RunStats
-from repro.telemetry.ledger import LEDGER_NAMES, RUNSTATS_MIRROR
 
 
 @dataclass
@@ -51,30 +50,6 @@ class MeasuredRun:
     @property
     def mean_frame_len(self) -> float:
         return self.tx_bytes / self.tx_packets if self.tx_packets else 0.0
-
-    @property
-    def ledger(self) -> Dict[str, int]:
-        """The run's drop ledger, read from the counter snapshot."""
-        return {
-            counter_field: self.counters.get(counter_field, 0)
-            for counter_field, _ in RUNSTATS_MIRROR
-        }
-
-
-def _ledger_shim(name: str) -> property:
-    def fget(self):
-        return self.counters.get(name, 0)
-
-    return property(
-        fget, doc="Ledger counter %r, read from the counter snapshot." % name
-    )
-
-
-# Direct attribute access to the ledger (run.rx_nombuf, run.tx_full, ...),
-# reading the same snapshot every other view of the run does.
-for _name in LEDGER_NAMES + ("sw_drops",):
-    setattr(MeasuredRun, _name, _ledger_shim(_name))
-del _name
 
 
 class SpecializedBinary:
@@ -116,11 +91,6 @@ class SpecializedBinary:
         counters = self.cpu.counters
         packets = stats.rx_packets
         counters.packets += packets
-        # Mirror the degraded-path ledger into the perf counter view so
-        # reports can tell "CPU-bound" from "fault-degraded" (all zero on
-        # a healthy run; stats fields are deltas since the last reset).
-        # The mapping is the single schema in repro.telemetry.ledger.
-        counters.sync_ledger(stats)
         return MeasuredRun(
             packets=packets,
             tx_packets=stats.tx_packets,
@@ -129,7 +99,10 @@ class SpecializedBinary:
             elapsed_ns=self.cpu.elapsed_ns(),
             instructions=self.cpu.instructions,
             total_cycles=self.cpu.total_cycles(),
-            counters=counters.snapshot(),
+            # The perf events plus the run's drop ledger, so reports can
+            # tell "CPU-bound" from "fault-degraded" (all zero on a
+            # healthy run).
+            counters={**counters.snapshot(), **stats.ledger()},
             stats=stats,
             telemetry=getattr(self.driver, "telemetry", None),
         )

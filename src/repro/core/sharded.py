@@ -135,7 +135,7 @@ class ShardedRuntime:
                 steering.on_round(self.rounds)
         for driver in drivers:
             # Epilogue only (0 iterations): attribution/sampler sync and
-            # the NIC-counter mirror into RunStats.
+            # the run's NIC delta under driver.hw.*.
             driver.run_batches(0)
         return rounds
 

@@ -9,7 +9,7 @@ test; open-loop arrival timing for the latency experiments is layered on
 top by :mod:`repro.perf.loadlatency`.
 
 Degraded operation is modelled the way real hardware reports it -- as
-counters, not exceptions (:class:`NicCounters`, mirroring DPDK's
+counters, not exceptions (:class:`NicCounters`, modelled on DPDK's
 ``rte_eth_stats``/xstats).  When a :class:`repro.faults.FaultInjector` is
 attached (``nic.faults``), arriving frames can be withheld (link flaps,
 CQE stalls, underruns), damaged in place (truncation, corruption), or
@@ -21,98 +21,33 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.dpdk.mbuf import CQE_SIZE, TX_WQE_SIZE, BufferRef
 from repro.dpdk.ring import DescriptorRing
 from repro.net.packet import Packet
 from repro.net.rss import IndirectionTable, RssConfig, ToeplitzKey, parse_flow, toeplitz_v4
-from repro.telemetry.registry import CounterRegistry
+from repro.telemetry.ledger import NIC_FIELDS
+from repro.telemetry.registry import CounterRegistry, CounterView
 
 #: The RX burst of a configuration that states no ``BURST``, and the one
 #: a :class:`MultiQueueNic` built outside PacketMill sizes its ingest for.
 DEFAULT_BURST = 32
 
-#: Every xstat the port exposes, in DPDK display order.
-NIC_FIELDS = (
-    "rx_nombuf",        # RX replenish failed: mempool empty
-    "imissed",          # frame arrived with no posted descriptor
-    "rx_errors",        # damaged frames discarded by the PMD
-    "rx_truncated",     # ... of which runt/short frames
-    "rx_corrupt",       # ... of which checksum failures
-    "tx_full",          # packets refused because the TX path was full
-    "link_down_polls",  # polls answered while the link was down
-    "cqe_stalls",       # polls answered while completions stalled
-    "rx_underruns",     # polls that found no frame ready
-)
+class NicCounters(CounterView):
+    """Drop/error accounting, modelled on DPDK's port stats and xstats.
 
-
-class NicCounters:
-    """Drop/error accounting, mirroring DPDK's port stats and xstats.
-
-    A view over one registry scope, like
-    :class:`repro.hw.counters.PerfCounters`: pass a shared ``registry``
-    (and a ``nic.<port>`` style ``prefix``) to make the port's xstats
-    first-class telemetry names; constructed bare it owns private
-    storage, preserving the old dataclass behaviour.
+    A registry view: pass a shared ``registry`` (and a ``nic.<port>``
+    style ``prefix``) to make the port's xstats first-class telemetry
+    names; constructed bare it owns private storage.  These cells count
+    cumulatively, as on real hardware; the driver derives each run's
+    delta from them (``driver.hw.*``).
     """
 
     FIELDS = NIC_FIELDS
 
-    __slots__ = ("registry", "prefix", "_handles")
-
-    def __init__(self, registry: Optional[CounterRegistry] = None,
-                 prefix: str = "", **initial):
-        self.registry = registry if registry is not None else CounterRegistry()
-        if prefix and not prefix.endswith("."):
-            prefix += "."
-        self.prefix = prefix
-        self._handles = {
-            name: self.registry.counter(prefix + name) for name in NIC_FIELDS
-        }
-        for name, value in initial.items():
-            if name not in NIC_FIELDS:
-                raise TypeError("unexpected counter %r" % name)
-            self._handles[name].value = value
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: self._handles[name].value for name in NIC_FIELDS}
-
-    def add(self, other: "NicCounters") -> None:
-        for name in NIC_FIELDS:
-            self._handles[name].value += getattr(other, name)
-
-    def reset(self) -> None:
-        for name in NIC_FIELDS:
-            self._handles[name].value = 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NicCounters):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
-    def __repr__(self) -> str:
-        nonzero = {
-            name: value for name, value in self.snapshot().items() if value
-        }
-        return "NicCounters(%s)" % ", ".join(
-            "%s=%r" % kv for kv in nonzero.items()
-        )
-
-
-def _xstat_property(name: str) -> property:
-    def fget(self):
-        return self._handles[name].value
-
-    def fset(self, value):
-        self._handles[name].value = value
-
-    return property(fget, fset, doc="Port xstat %r (registry-backed)." % name)
-
-
-for _name in NIC_FIELDS:
-    setattr(NicCounters, _name, _xstat_property(_name))
-del _name
+    __slots__ = ()
 
 
 class Nic:
@@ -160,13 +95,29 @@ class Nic:
         dry under it -- count the frames that kept arriving as ``imissed``
         drops, exactly as a saturating source would produce on real
         hardware.
+
+        With QoS attached (``nic.qos``) the trace is polled through its
+        paced protocol (``begin_poll`` + ``poll_packet(paused)``, so
+        paused priorities stop *offering* frames), and every arriving
+        frame passes the MMU's admission check before it is DMA'd.  A
+        refused frame never consumes the descriptor or enters the
+        pipeline -- it is counted in the port's ``qos.*`` drop ledger,
+        the buffer-level analogue of a priority drop xstat.
         """
         injector = self.faults
         budget = max_n
         if injector is not None:
             budget = injector.rx_budget(self, max_n)
-        if self.qos is not None:
-            return self._deliver_qos(budget, injector)
+        trace = self.trace
+        next_packet = trace.next_packet
+        qos = self.qos
+        if qos is not None:
+            begin = getattr(trace, "begin_poll", None)
+            if begin is not None:
+                begin()
+            poll = getattr(trace, "poll_packet", None)
+            if poll is not None:
+                next_packet = partial(poll, qos.paused_priorities())
         out = []
         for _ in range(budget):
             if self.rx_ring.is_empty():
@@ -177,7 +128,7 @@ class Nic:
                 break
             _, ref = self.rx_ring.pop()
             try:
-                pkt = self.trace.next_packet()
+                pkt = next_packet()
             except StopIteration:
                 # Finite trace drained: re-post the unfilled buffer and
                 # end deliveries cleanly with stats intact.
@@ -186,60 +137,12 @@ class Nic:
                 break
             if pkt is None:
                 # Source has nothing for this queue right now (a sharded
-                # ingest round spent its budget on other queues' frames).
+                # ingest round spent its budget on other queues' frames,
+                # or every backlogged priority is paused).
                 self.rx_ring.push(ref)
                 break
             pkt.port = self.port
-            if injector is not None:
-                injector.mutate_frame(pkt, self.port)
-            self.mem.dma_write(ref.data_addr, len(pkt))
-            cqe_addr = self.cq.slot_addr(self._cq_index)
-            self._cq_index += 1
-            self.mem.dma_write(cqe_addr, CQE_SIZE)
-            ref.cqe_addr = cqe_addr
-            self.rx_delivered += 1
-            out.append((ref, pkt))
-        return out
-
-    def _deliver_qos(self, budget: int, injector) -> List[Tuple[BufferRef, Packet]]:
-        """Receive with ingress admission and PFC-aware source pacing.
-
-        The QoS path differs from the plain loop in two ways: the trace
-        is polled through its paced protocol (``begin_poll`` +
-        ``poll_packet(paused)``, so paused priorities stop *offering*
-        frames), and every arriving frame passes the MMU's admission
-        check before it is DMA'd.  A refused frame never consumes the
-        descriptor or enters the pipeline -- it is counted in the port's
-        ``qos.*`` drop ledger, the buffer-level analogue of a priority
-        drop xstat.
-        """
-        qos = self.qos
-        trace = self.trace
-        begin = getattr(trace, "begin_poll", None)
-        if begin is not None:
-            begin()
-        poll = getattr(trace, "poll_packet", None)
-        paused = qos.paused_priorities()
-        out: List[Tuple[BufferRef, Packet]] = []
-        for _ in range(budget):
-            if self.rx_ring.is_empty():
-                if injector is not None:
-                    self.counters.imissed += budget - len(out)
-                break
-            _, ref = self.rx_ring.pop()
-            try:
-                pkt = poll(paused) if poll is not None else trace.next_packet()
-            except StopIteration:
-                self.trace_exhausted = True
-                self.rx_ring.push(ref)
-                break
-            if pkt is None:
-                # Source idle (or every backlogged priority paused) for
-                # the rest of this poll round.
-                self.rx_ring.push(ref)
-                break
-            pkt.port = self.port
-            if not qos.admit(pkt):
+            if qos is not None and not qos.admit(pkt):
                 # Ingress buffer refused the frame: counted in the
                 # qos.* ledger, descriptor left posted for the next one.
                 self.rx_ring.push(ref)

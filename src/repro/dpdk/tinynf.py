@@ -16,10 +16,6 @@ from repro.dpdk.metadata import XChangeModel, _cqe_read_ops, _tx_descriptor_ops
 from repro.dpdk.xchg_api import minimal_conversions
 
 
-class BufferingNotSupportedError(RuntimeError):
-    """A TinyNF build contains an element that holds packets."""
-
-
 class TinyNfModel(XChangeModel):
     """Static per-slot buffers, minimal metadata, in-order processing."""
 

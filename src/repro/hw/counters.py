@@ -4,28 +4,24 @@ The paper reports microarchitectural metrics sampled with ``perf`` every
 100 ms (Table 1, §4.2, Fig. 9).  We count events per run and provide the
 same per-100-ms view by scaling with the measured packet rate.
 
-Storage lives in a :class:`repro.telemetry.registry.CounterRegistry`:
-``PerfCounters`` is a *view* over one registry scope, so the same cells
-the cache model bumps are what ``RunStats`` mirroring, handler reads,
-and window samples observe -- no copies, no drift.  Attribute access is
-unchanged (``counters.llc_misses`` reads and writes work as before); the
-memory system's hot loops go through :attr:`PerfCounters.handles`, which
-holds direct :class:`~repro.telemetry.registry.Counter` references so a
-cache hit costs one attribute walk plus an integer add, same as the old
-dataclass field bump.
+``PerfCounters`` is a :class:`repro.telemetry.registry.CounterView` over
+one registry scope (``cpu.`` in a build's registry), so the same cells
+the cache model bumps are what handler reads and window samples observe.
+It counts microarchitectural events only: drops are counted by the NIC
+and the driver (see :mod:`repro.telemetry.ledger`), never here.  The
+memory system's hot loops go through :attr:`PerfCounters.handles`,
+which holds direct :class:`~repro.telemetry.registry.Counter` references
+so a cache hit costs one attribute walk plus an integer add, same as a
+plain dataclass field bump.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.telemetry.ledger import RUNSTATS_MIRROR
-from repro.telemetry.registry import CounterRegistry
+from repro.telemetry.registry import CounterRegistry, CounterView
 
-#: Every event the view exposes, in report/snapshot order.  The first
-#: block is microarchitectural; the trailing block is the degraded-path
-#: ledger (NIC/software drops mirrored per run, all zero on a healthy
-#: run; see repro.faults and docs/FAULTS.md).
+#: Every event the view exposes, in report/snapshot order.
 PERF_FIELDS = (
     "instructions",
     "l1_hits",
@@ -37,13 +33,6 @@ PERF_FIELDS = (
     "branch_misses",
     "ddio_fills",
     "packets",
-    "rx_nombuf",
-    "imissed",
-    "rx_errors",
-    "tx_full",
-    "sw_drops",
-    "element_errors",
-    "watchdog_resets",
 )
 
 
@@ -53,43 +42,29 @@ class _Handles:
     __slots__ = PERF_FIELDS
 
 
-class PerfCounters:
+class PerfCounters(CounterView):
     """Event counts accumulated over one measurement run.
 
-    A view over one registry scope.  Constructed bare it owns a private
-    registry (names are the bare event names); pass ``registry`` and a
-    ``prefix`` to back it with shared storage instead.  Keyword initial
-    values keep the old dataclass construction working:
-    ``PerfCounters(llc_loads=500, packets=100)``.
+    Constructed bare it owns a private registry (names are the bare event
+    names); pass ``registry`` and a ``prefix`` to back it with shared
+    storage instead.  ``PerfCounters(llc_loads=500, packets=100)`` sets
+    initial values.
     """
 
     FIELDS = PERF_FIELDS
 
-    __slots__ = ("registry", "prefix", "handles")
+    __slots__ = ("handles",)
 
     def __init__(self, registry: Optional[CounterRegistry] = None,
                  prefix: str = "", **initial):
-        self.registry = registry if registry is not None else CounterRegistry()
-        if prefix and not prefix.endswith("."):
-            prefix += "."
-        self.prefix = prefix
+        super().__init__(registry, prefix, **initial)
         self.handles = _Handles()
-        for name in PERF_FIELDS:
-            handle = self.registry.counter(prefix + name)
-            setattr(self.handles, name, handle)
-        for name, value in initial.items():
-            if name not in PERF_FIELDS:
-                raise TypeError("unexpected counter %r" % name)
-            getattr(self.handles, name).value = value
+        for name, cell in self._cells.items():
+            setattr(self.handles, name, cell)
 
     def add(self, other: "PerfCounters") -> None:
-        for name in PERF_FIELDS:
-            handle = getattr(self.handles, name)
-            handle.value += getattr(other, name)
-
-    def reset(self) -> None:
-        for name in PERF_FIELDS:
-            getattr(self.handles, name).value = 0
+        for name, cell in self._cells.items():
+            cell.value += getattr(other, name)
 
     def per_packet(self, name: str) -> float:
         if self.packets == 0:
@@ -105,47 +80,3 @@ class PerfCounters:
         if self.llc_loads == 0:
             return 0.0
         return self.llc_misses / self.llc_loads
-
-    def snapshot(self) -> dict:
-        return {name: getattr(self.handles, name).value for name in PERF_FIELDS}
-
-    def sync_ledger(self, stats) -> None:
-        """Mirror a RunStats-shaped drop ledger into this view.
-
-        Since both sides can read from one registry this is often a
-        no-op on shared storage, but it keeps detached views (frozen
-        stats, the multi-queue aggregate) consistent through the same
-        single schema (:data:`repro.telemetry.ledger.RUNSTATS_MIRROR`).
-        """
-        for counter_field, stats_attr in RUNSTATS_MIRROR:
-            getattr(self.handles, counter_field).value = getattr(
-                stats, stats_attr
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerfCounters):
-            return NotImplemented
-        return self.snapshot() == other.snapshot()
-
-    def __repr__(self) -> str:
-        nonzero = {
-            name: value for name, value in self.snapshot().items() if value
-        }
-        return "PerfCounters(%s)" % ", ".join(
-            "%s=%r" % kv for kv in nonzero.items()
-        )
-
-
-def _event_property(name: str) -> property:
-    def fget(self):
-        return getattr(self.handles, name).value
-
-    def fset(self, value):
-        getattr(self.handles, name).value = value
-
-    return property(fget, fset, doc="Event count %r (registry-backed)." % name)
-
-
-for _name in PERF_FIELDS:
-    setattr(PerfCounters, _name, _event_property(_name))
-del _name

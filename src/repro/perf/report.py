@@ -4,8 +4,8 @@ A throughput number alone cannot tell an operator *why* a run fell short
 of line rate: the core may simply be saturated, or the pipeline may be
 shedding load because of faults (mempool exhaustion, link flaps, frame
 corruption, TX backpressure).  This module reads the degraded-path ledger
-(:class:`repro.click.driver.RunStats` or the mirrored perf-counter
-snapshot) and renders the distinction, the same way an operator would
+(:class:`repro.click.driver.RunStats` or a measured run's counter dict)
+and renders the distinction, the same way an operator would
 read ``rte_eth_stats``/xstats next to a perf profile.
 """
 
@@ -14,26 +14,19 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.click.driver import RunStats
-from repro.telemetry.ledger import (
-    HW_DETAIL_NAMES,
-    LEDGER_FIELDS,
-    ledger_from_stats,
-)
+from repro.telemetry.ledger import HW_DETAIL_NAMES, LEDGER_FIELDS, LEDGER_NAMES
 
 HEALTHY = "healthy"
 FAULT_DEGRADED = "fault-degraded"
 CONGESTED = "congested"
 
-#: Ledger entries that mark a run as degraded, with display labels --
-#: the single schema from repro.telemetry.ledger.
-_DROP_FIELDS = LEDGER_FIELDS
-
 
 def _ledger(source: Union[RunStats, Dict[str, int]]) -> Dict[str, int]:
-    """Normalize a RunStats or counter snapshot into the drop ledger."""
+    """Normalize a RunStats or measured-run counter dict into the ledger
+    entries that mark a run as degraded."""
     if isinstance(source, RunStats):
-        return ledger_from_stats(source)
-    return {name: int(source.get(name, 0)) for name, _ in _DROP_FIELDS}
+        source = source.ledger()
+    return {name: int(source.get(name, 0)) for name in LEDGER_NAMES}
 
 
 def classify(source: Union[RunStats, Dict[str, int]]) -> str:
@@ -71,7 +64,7 @@ def format_report(
     lines.append("  rx=%d tx=%d pipeline_drops=%d dropped_total=%d"
                  % (stats.rx_packets, stats.tx_packets, stats.drops,
                     stats.dropped_total))
-    for name, description in _DROP_FIELDS:
+    for name, description in LEDGER_FIELDS:
         if ledger[name]:
             lines.append("  %-38s %d" % (description + ":", ledger[name]))
     if stats.errors_by_element:

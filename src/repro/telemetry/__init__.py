@@ -6,9 +6,9 @@ This package is the simulator's equivalent, in four pieces:
 
 - :mod:`repro.telemetry.registry` -- the :class:`CounterRegistry`:
   hierarchical dotted names, typed counter/gauge handles, snapshot/delta
-  semantics, glob reads, and mounts.  It is the storage behind
-  ``RunStats``, ``PerfCounters``, and the NIC xstats -- those classes are
-  now views, so shared counters cannot drift.
+  semantics, glob reads, and mounts.  ``RunStats``, ``PerfCounters``,
+  and the NIC xstats are :class:`CounterView` subclasses over it, and
+  :mod:`repro.telemetry.ledger` says which cell counts each drop.
 - :mod:`repro.telemetry.sampler` -- the 100-ms-window
   :class:`WindowSampler` driven by simulated time (the ``perf stat -I``
   view of a run).

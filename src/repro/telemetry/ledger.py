@@ -1,14 +1,33 @@
 """The drop ledger schema, defined once.
 
-Before the registry existed, the list of degraded-path counters --
-``rx_nombuf``, ``imissed``, ``rx_errors``, ``tx_full``, plus the software
-incidents -- was spelled out independently in ``RunStats``,
-``PerfCounters``, and ``repro.perf.report``.  This module is the single
-definition all of them import, so adding a drop source is a one-line
-change that every view picks up.
+Every drop is counted in exactly one cell.  A NIC port counts its
+hardware drops cumulatively, as real xstats do, under ``nic.<port>.``
+(:data:`NIC_FIELDS`).  At the end of each run the driver writes the
+port-summed delta since the last stats reset under ``driver.hw.``, and
+:class:`repro.click.driver.RunStats` reads its ``rx_nombuf``,
+``imissed``, ``rx_errors`` and ``tx_full`` straight from those cells.
+Software incidents -- pipeline kills (``driver.drops``), element
+error-boundary incidents (``driver.error_batches``) and watchdog
+recoveries (``driver.watchdog_resets``) -- are counted once, by the
+driver.  The perf counters (``cpu.*``) hold microarchitectural events
+only; :meth:`RunStats.ledger` is the one place the ledger is renamed
+into a measured run's counter dict.
 """
 
 from __future__ import annotations
+
+#: Every xstat a NIC port exposes, in DPDK display order.
+NIC_FIELDS = (
+    "rx_nombuf",        # RX replenish failed: mempool empty
+    "imissed",          # frame arrived with no posted descriptor
+    "rx_errors",        # damaged frames discarded by the PMD
+    "rx_truncated",     # ... of which runt/short frames
+    "rx_corrupt",       # ... of which checksum failures
+    "tx_full",          # packets refused because the TX path was full
+    "link_down_polls",  # polls answered while the link was down
+    "cqe_stalls",       # polls answered while completions stalled
+    "rx_underruns",     # polls that found no frame ready
+)
 
 #: Ledger entries that mark a run as fault-degraded, with display labels.
 #: Order matters: reports render in this order.
@@ -24,35 +43,5 @@ LEDGER_FIELDS = (
 #: Just the ledger counter names, in report order.
 LEDGER_NAMES = tuple(name for name, _ in LEDGER_FIELDS)
 
-#: NIC-side ledger entries (mirrored from hardware counters as deltas).
-HW_LEDGER_NAMES = ("rx_nombuf", "imissed", "rx_errors", "tx_full")
-
 #: Second-order NIC detail counters reports append when nonzero.
-HW_DETAIL_NAMES = (
-    "rx_truncated", "rx_corrupt", "link_down_polls", "cqe_stalls",
-    "rx_underruns",
-)
-
-#: How the perf-counter view's ledger fields map onto RunStats attributes:
-#: (PerfCounters field, RunStats attribute).
-RUNSTATS_MIRROR = (
-    ("rx_nombuf", "rx_nombuf"),
-    ("imissed", "imissed"),
-    ("rx_errors", "rx_errors"),
-    ("tx_full", "tx_full"),
-    ("sw_drops", "drops"),
-    ("element_errors", "error_batches"),
-    ("watchdog_resets", "watchdog_resets"),
-)
-
-
-def ledger_from_stats(stats) -> dict:
-    """The drop ledger of a RunStats-shaped object, keyed by ledger name."""
-    return {
-        "rx_nombuf": stats.rx_nombuf,
-        "imissed": stats.imissed,
-        "rx_errors": stats.rx_errors,
-        "tx_full": stats.tx_full,
-        "element_errors": stats.error_batches,
-        "watchdog_resets": stats.watchdog_resets,
-    }
+HW_DETAIL_NAMES = tuple(name for name in NIC_FIELDS if name not in LEDGER_NAMES)

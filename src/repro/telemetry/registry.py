@@ -1,12 +1,12 @@
 """The counter registry: one source of truth for every statistic.
 
-Counters used to live in three drifting copies -- ``RunStats`` fields,
-``PerfCounters`` fields, and the NICs' xstats dataclass -- hand-mirrored
-into each other at the end of every run.  The registry collapses them:
-each statistic is one :class:`Counter` handle stored under a hierarchical
+Each statistic is one :class:`Counter` handle stored under a hierarchical
 dotted name (``cpu.llc_misses``, ``nic.0.imissed``, ``driver.rx_packets``,
-``element.rt.drops``), and the old classes become *views* over the same
-storage.
+``element.rt.drops``).  ``RunStats``, ``PerfCounters`` and the NICs'
+xstats are :class:`CounterView` subclasses: named attributes over their
+own cells, never copies of another view's.  A drop is counted once --
+cumulatively by the NIC port, per run under ``driver.hw.``, or by the
+driver for software drops (:mod:`repro.telemetry.ledger` maps them).
 
 Handles are deliberately tiny (``__slots__``, direct ``.value`` access)
 so the hardware model's hot loops pay the same cost they paid for plain
@@ -16,13 +16,13 @@ flattens everything (including mounted sub-registries) into one dict, and
 
 Snapshot/delta semantics: a snapshot is a plain ``{name: value}`` dict;
 :func:`delta` subtracts two of them, which is how the window sampler and
-the driver's hardware-counter mirroring express "since the last reset".
+the driver's per-run NIC ledger express "since the last reset".
 """
 
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -67,7 +67,7 @@ class Counter:
         self.value += n
 
     def set(self, value: Number) -> None:
-        """Overwrite the value (gauges, resets, and ledger mirroring)."""
+        """Overwrite the value (gauges and resets)."""
         self.value = value
 
     def reset(self) -> None:
@@ -329,6 +329,82 @@ class CounterScope:
 
     def reset(self) -> None:
         self.registry.reset(self.prefix)
+
+
+class _Cell:
+    """Descriptor: one :class:`CounterView` attribute, read through to its
+    registry cell."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        return view._cells[self.name].value
+
+    def __set__(self, view, value: Number) -> None:
+        view._cells[self.name].value = value
+
+
+class CounterView:
+    """Named attributes over a fixed set of registry cells.
+
+    A subclass lists its cells in ``FIELDS``, dotted names relative to the
+    view's ``prefix``; each becomes a read/write attribute named by the
+    cell's last component (``"hw.imissed"`` is ``view.imissed``).
+    Constructed bare, a view owns a private registry.  Keyword arguments
+    set initial values through the class's settable attributes
+    (``PerfCounters(llc_loads=500)``); any other name is refused.
+    """
+
+    FIELDS: Tuple[str, ...] = ()
+
+    __slots__ = ("registry", "prefix", "_cells")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for cell in cls.__dict__.get("FIELDS", ()):
+            name = cell.rpartition(".")[2]
+            setattr(cls, name, _Cell(name))
+
+    def __init__(self, registry: Optional[CounterRegistry] = None,
+                 prefix: str = "", **initial):
+        self._bind(registry if registry is not None else CounterRegistry(),
+                   prefix)
+        cls = type(self)
+        for name, value in initial.items():
+            if not isinstance(getattr(cls, name, None), (_Cell, property)):
+                raise TypeError("unexpected counter %r" % name)
+            setattr(self, name, value)
+
+    def _bind(self, registry: CounterRegistry, prefix: str) -> None:
+        if prefix and not prefix.endswith("."):
+            prefix += "."
+        self.registry = registry
+        self.prefix = prefix
+        self._cells = {
+            cell.rpartition(".")[2]: registry.counter(prefix + cell)
+            for cell in self.FIELDS
+        }
+
+    def snapshot(self) -> Dict[str, Number]:
+        return {name: cell.value for name, cell in self._cells.items()}
+
+    def reset(self) -> None:
+        for cell in self._cells.values():
+            cell.value = 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.snapshot() == other.snapshot()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % kv for kv in self.snapshot().items() if kv[1]))
 
 
 def delta(new: Dict[str, Number], old: Dict[str, Number]) -> Dict[str, Number]:

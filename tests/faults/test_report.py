@@ -3,7 +3,6 @@
 from repro.click.driver import RunStats
 from repro.click.handlers import HandlerBroker
 from repro.faults import CORRUPT, MBUF_EXHAUSTION, FaultSchedule, FaultSpec
-from repro.hw.counters import PerfCounters
 from repro.perf.report import (
     FAULT_DEGRADED,
     HEALTHY,
@@ -57,8 +56,8 @@ class TestFormatReport:
         assert "error boundary at nat" in format_report(stats)
 
 
-class TestPerfCounterMirror:
-    def test_measured_run_mirrors_drop_ledger(self):
+class TestMeasuredRunLedger:
+    def test_measured_run_reports_drop_ledger(self):
         schedule = FaultSchedule(
             [FaultSpec(MBUF_EXHAUSTION, start=5, stop=40),
              FaultSpec(CORRUPT, start=0, stop=80, probability=0.05)],
@@ -69,13 +68,21 @@ class TestPerfCounterMirror:
         assert run.counters["rx_errors"] == run.stats.rx_errors > 0
         assert run.counters["sw_drops"] == run.stats.drops
         assert classify(run.stats) == FAULT_DEGRADED
+        assert classify(run.counters) == FAULT_DEGRADED
 
-    def test_perfcounters_reset_clears_ledger(self):
-        counters = PerfCounters()
-        counters.rx_nombuf = 5
-        counters.reset()
-        assert counters.rx_nombuf == 0
-        assert counters.snapshot()["rx_nombuf"] == 0
+    def test_reset_clears_ledger_but_not_port_xstats(self):
+        schedule = FaultSchedule([FaultSpec(MBUF_EXHAUSTION, start=5, stop=40)],
+                                 seed=9)
+        binary = build_forwarder(faults=schedule)
+        binary.run(60)
+        port_total = binary.driver.registry.get("nic.0.rx_nombuf")
+        assert port_total > 0
+        binary.reset_measurements()
+        stats = binary.driver.stats
+        assert not any(stats.ledger().values())
+        assert binary.driver.registry.get("driver.hw.rx_nombuf") == 0
+        # Port xstats are cumulative, as on real hardware.
+        assert binary.driver.registry.get("nic.0.rx_nombuf") == port_total
 
 
 class TestThroughputPointHealth:

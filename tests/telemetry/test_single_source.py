@@ -3,8 +3,9 @@
 import pytest
 
 from repro.click.driver import RunStats
-from repro.core.nfs import router
-from repro.hw.counters import PerfCounters
+from repro.core.nfs import forwarder, router
+from repro.hw.counters import PERF_FIELDS, PerfCounters
+from repro.telemetry.ledger import NIC_FIELDS
 from repro.telemetry.registry import CounterRegistry
 
 from tests.telemetry.conftest import build
@@ -20,6 +21,11 @@ class TestSharedStorage:
         assert registry.get("driver.rx_packets") == 7
         registry.counter("driver.rx_packets").value = 11
         assert stats.rx_packets == 11
+        # The hardware drop attributes read the run's NIC delta cells.
+        stats.imissed = 3
+        assert registry.get("driver.hw.imissed") == 3
+        assert stats.hw_counters["imissed"] == 3
+        assert "driver.imissed" not in registry
 
     def test_perfcounters_and_registry_read_the_same_cell(self):
         registry = CounterRegistry()
@@ -50,11 +56,11 @@ class TestLiveRunViews:
         for name in ("rx_nombuf", "imissed", "rx_errors"):
             port_name = "nic.0.%s" % name
             assert broker_view[name] == registry.get(port_name)
-        # The measured run's counter snapshot mirrors the driver ledger.
+        # The measured run's counters carry the driver's ledger.
         assert run.counters["rx_nombuf"] == stats.rx_nombuf
         assert run.counters["sw_drops"] == stats.drops
-        assert run.rx_nombuf == run.counters["rx_nombuf"]
-        assert run.ledger["sw_drops"] == stats.drops
+        for name, value in stats.ledger().items():
+            assert run.counters[name] == value
         # Per-element drops live under element.<name>.drops.
         for name, count in stats.drops_by_element.items():
             assert registry.get("element.%s.drops" % name) == count
@@ -103,3 +109,36 @@ class TestLiveRunViews:
         second.driver.run_batches(30)
         assert first.driver.stats == second.driver.stats
         assert first.cpu.counters == second.cpu.counters
+
+
+class TestOneCellPerDrop:
+    def test_each_nic_statistic_has_one_port_cell_and_one_run_cell(self):
+        binary = build(config=forwarder())
+        binary.measure(batches=40, warmup_batches=20)
+        names = binary.telemetry.registry.names()
+        for stat in NIC_FIELDS:
+            holders = [name for name in names
+                       if name.rpartition(".")[2] == stat]
+            # Cumulative on the port, this run's delta under driver.hw.;
+            # no driver.<stat> or cpu.<stat> copy.
+            assert holders == ["driver.hw." + stat, "nic.0." + stat]
+
+    def test_cpu_scope_holds_only_perf_events(self):
+        binary = build(config=forwarder())
+        binary.measure(batches=40, warmup_batches=20)
+        registry = binary.telemetry.registry
+        assert registry.names("cpu.*") == sorted(
+            "cpu." + name for name in PERF_FIELDS)
+        assert registry.names("driver.watchdog_resets") == [
+            "driver.watchdog_resets"]
+        assert registry.names("*.sw_drops") == []
+        assert registry.names("*.element_errors") == []
+
+    def test_measured_run_counter_keys_are_pinned(self):
+        run = build(config=forwarder()).measure(batches=20, warmup_batches=10)
+        assert list(run.counters) == [
+            "instructions", "l1_hits", "l2_hits", "llc_loads", "llc_hits",
+            "llc_misses", "dtlb_walks", "branch_misses", "ddio_fills",
+            "packets", "rx_nombuf", "imissed", "rx_errors", "tx_full",
+            "sw_drops", "element_errors", "watchdog_resets",
+        ]
