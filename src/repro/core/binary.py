@@ -9,15 +9,21 @@ counter snapshots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.click.driver import RouterDriver, RunStats
+from repro.hw.cpu import clock_time
 
 
 @dataclass
 class MeasuredRun:
-    """Results of one timed run of a binary."""
+    """Results of one timed run of a binary.
+
+    ``core_cycles`` and ``uncore_ns`` are the run's clock-independent
+    time (see :func:`repro.hw.cpu.clock_time`); :meth:`at_frequency`
+    re-evaluates the run at another core clock from them.
+    """
 
     packets: int
     tx_packets: int
@@ -27,6 +33,8 @@ class MeasuredRun:
     instructions: float
     total_cycles: float
     counters: dict
+    core_cycles: float = 0.0
+    uncore_ns: float = 0.0
     #: The driver's full RunStats (drop ledger included), when available.
     stats: Optional[RunStats] = None
     #: The build's repro.telemetry.Telemetry bundle, when available.  A
@@ -34,6 +42,13 @@ class MeasuredRun:
     #: identical numbers must compare equal regardless of which bundle
     #: produced them.
     telemetry: Optional[object] = field(default=None, compare=False)
+
+    def at_frequency(self, freq_ghz: float) -> "MeasuredRun":
+        """This run as the same closed loop measures it at ``freq_ghz``."""
+        elapsed_ns, total_cycles = clock_time(self.core_cycles,
+                                              self.uncore_ns, freq_ghz)
+        return replace(self, elapsed_ns=elapsed_ns,
+                       total_cycles=total_cycles, counters=dict(self.counters))
 
     @property
     def ns_per_packet(self) -> float:
@@ -103,6 +118,8 @@ class SpecializedBinary:
             # tell "CPU-bound" from "fault-degraded" (all zero on a
             # healthy run).
             counters={**counters.snapshot(), **stats.ledger()},
+            core_cycles=self.cpu.core_cycles,
+            uncore_ns=self.cpu.uncore_ns,
             stats=stats,
             telemetry=getattr(self.driver, "telemetry", None),
         )

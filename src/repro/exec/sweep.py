@@ -9,6 +9,17 @@ is a pure function of its spec (one fresh ``MemorySystem``/RNG universe
 per point -- points never share simulator state, which is what makes the
 fan-out sound).
 
+A closed-loop run's simulated state does not depend on the core clock:
+frequency only turns its core cycles and uncore time into elapsed time
+(:func:`repro.hw.cpu.clock_time`) and sets the rate ceilings.  So the
+engine groups the uncached single-core :class:`PointSpec` points that
+differ only in ``freq_ghz``, builds and measures each group once at its
+first member's frequency, and evaluates every member from that one run
+(:meth:`MeasuredRun.at_frequency` and :func:`throughput_point`).  One
+group is one task, in-process or on the pool.  Sharded points
+(``n_cores > 1``) and :class:`FrameworkPointSpec` points are one task
+each.
+
 Worker count comes from ``jobs=``, else ``REPRO_JOBS``, else the CPU
 count; one job runs in-process.  ``REPRO_SWEEP=serial`` makes it one job
 whatever the others say (both are read through :mod:`repro.exec.env`).
@@ -18,7 +29,8 @@ failing the experiment.
 
 Measured points are memoized in :mod:`repro.exec.cache` by spec, so
 identical points across experiments (Table 1 re-measures Fig. 4's 3-GHz
-column) are simulated once per process.
+column) are simulated once per process.  Each member of a group is
+stored under its own spec.
 """
 
 from __future__ import annotations
@@ -27,15 +39,19 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
 from repro.exec import cache, env
 from repro.hw.params import MachineParams
 from repro.net.rss import RssConfig
-from repro.perf.runner import measure_sharded, measure_throughput
+from repro.perf.runner import (
+    measure_sharded,
+    measure_throughput,
+    throughput_point,
+)
 
 
 @dataclass(frozen=True)
@@ -95,13 +111,13 @@ CAMPUS_TRACE = TraceKey("campus")
 class PointSpec:
     """One build-and-measure sweep point, picklable and hashable.
 
-    ``execute`` builds one binary and measures it with
-    :func:`measure_throughput`: machine parameters are the defaults plus
-    ``params_overrides`` at ``freq_ghz``, and the trace comes from
-    ``trace`` (campus by default).  Multi-core points (``n_cores > 1``)
-    build the real RSS-sharded runtime -- one arrival stream per port,
-    Toeplitz-steered across the replicas -- and measure it with
-    :func:`measure_sharded`.
+    ``execute`` builds one binary with :meth:`mill` and measures it with
+    :func:`measure_throughput`: machine parameters (:meth:`params`) are
+    the defaults plus ``params_overrides`` at ``freq_ghz``, and the trace
+    comes from ``trace`` (campus by default).  Multi-core points
+    (``n_cores > 1``) build the real RSS-sharded runtime -- one arrival
+    stream per port, Toeplitz-steered across the replicas -- and measure
+    it with :func:`measure_sharded`.
     """
 
     config: str
@@ -115,19 +131,26 @@ class PointSpec:
     params_overrides: Tuple[Tuple[str, object], ...] = ()
     rss: Optional[RssConfig] = None
 
-    def execute(self):
-        params = MachineParams(**dict(self.params_overrides)).at_frequency(
+    def params(self) -> MachineParams:
+        """The machine this point measures: defaults plus overrides."""
+        return MachineParams(**dict(self.params_overrides)).at_frequency(
             self.freq_ghz
         )
-        mill = PacketMill(
+
+    def mill(self) -> PacketMill:
+        """The unbuilt :class:`PacketMill` for this point."""
+        return PacketMill(
             self.config,
             self.options,
-            params=params,
+            params=self.params(),
             trace=(self.trace or CAMPUS_TRACE).factory(),
             seed=self.seed,
             n_cores=self.n_cores,
             rss=self.rss,
         )
+
+    def execute(self):
+        mill = self.mill()
         if self.n_cores == 1:
             return measure_throughput(
                 mill.build(),
@@ -165,13 +188,34 @@ class FrameworkPointSpec:
         )
 
 
-def run_point(spec):
-    """Execute one sweep point (module-level, so process pools can map it)."""
-    result = cache.point_get(spec)
-    if result is None:
-        result = spec.execute()
-        cache.point_put(spec, result)
-    return result
+def _by_frequency(spec) -> bool:
+    """Whether ``spec`` joins its frequency sweep's group."""
+    return isinstance(spec, PointSpec) and spec.n_cores == 1
+
+
+def _group_key(spec):
+    """Specs with equal keys share one build and one measured run."""
+    return replace(spec, freq_ghz=None) if _by_frequency(spec) else spec
+
+
+def run_group(specs: Sequence) -> List:
+    """The points of ``specs``, which share a :func:`_group_key`, from one
+    build and one run (module-level, so process pools can map it).
+
+    A single-core group is measured at its first member's frequency and
+    every member is evaluated from that run.  Any other group is copies of
+    one spec, executed once.
+    """
+    first = specs[0]
+    if not _by_frequency(first):
+        return [first.execute()] * len(specs)
+    binary = first.mill().build()
+    run = binary.measure(batches=first.batches,
+                         warmup_batches=first.warmup_batches)
+    n_ports = len(binary.pmds)
+    return [throughput_point(run.at_frequency(spec.freq_ghz), spec.params(),
+                             n_ports)
+            for spec in specs]
 
 
 def default_jobs() -> int:
@@ -191,36 +235,36 @@ class SweepEngine:
         return self.jobs > 1
 
     def run(self, specs: Sequence) -> List:
+        """Every spec's point, in submission order: from the point cache,
+        else from its group's one run."""
         specs = list(specs)
-        if not self.parallel or len(specs) <= 1:
-            return [run_point(spec) for spec in specs]
         results: List = [None] * len(specs)
-        pending: List[int] = []
+        groups: Dict[object, List[int]] = {}
         for i, spec in enumerate(specs):
             cached = cache.point_get(spec)
             if cached is not None:
                 results[i] = cached
             else:
-                pending.append(i)
-        if pending:
+                groups.setdefault(_group_key(spec), []).append(i)
+        tasks = [[specs[i] for i in group] for group in groups.values()]
+        done: List = [None] * len(tasks)
+        if self.parallel and len(tasks) > 1:
             try:
                 with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(pending))
+                    max_workers=min(self.jobs, len(tasks))
                 ) as pool:
-                    mapped = pool.map(run_point, [specs[i] for i in pending])
-                    for i, result in zip(pending, mapped):
-                        results[i] = result
+                    for t, points in enumerate(pool.map(run_group, tasks)):
+                        done[t] = points
             except (OSError, ImportError, pickle.PicklingError,
                     BrokenProcessPool):
                 # The pool itself failed (no fork, no semaphores, a spec
                 # that would not pickle): degrade to in-process execution
                 # -- same results, just slower.
                 pass
-            for i in pending:
-                if results[i] is None:
-                    results[i] = run_point(specs[i])
-                else:
-                    cache.point_put(specs[i], results[i])
+        for group, task, points in zip(groups.values(), tasks, done):
+            for i, point in zip(group, points or run_group(task)):
+                results[i] = point
+                cache.point_put(specs[i], point)
         return results
 
 

@@ -104,6 +104,8 @@ class L2fwdBinary:
             instructions=self.cpu.instructions,
             total_cycles=self.cpu.total_cycles(),
             counters=counters.snapshot(),
+            core_cycles=self.cpu.core_cycles,
+            uncore_ns=self.cpu.uncore_ns,
         )
 
     def measure(self, batches: int = 250, warmup_batches: int = 120) -> MeasuredRun:

@@ -9,7 +9,21 @@ reports: time per packet, packets per second, and instructions per cycle.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.hw.memory import MemorySystem
+
+
+def clock_time(core_cycles: float, uncore_ns: float,
+               freq_ghz: float) -> Tuple[float, float]:
+    """``(elapsed_ns, total_cycles)`` of a run at the core clock ``freq_ghz``.
+
+    Core cycles scale with the clock and uncore time does not; nothing
+    else in a closed-loop run depends on the frequency, so one run's
+    ``core_cycles`` and ``uncore_ns`` give its time at every clock.
+    """
+    return (core_cycles / freq_ghz + uncore_ns,
+            core_cycles + uncore_ns * freq_ghz)
 
 
 class CpuCore:
@@ -80,12 +94,14 @@ class CpuCore:
 
     def elapsed_ns(self) -> float:
         """Total wall-clock time accounted so far."""
-        return self.core_cycles / self.params.freq_ghz + self.uncore_ns
+        return clock_time(self.core_cycles, self.uncore_ns,
+                          self.params.freq_ghz)[0]
 
     def total_cycles(self) -> float:
         """Core cycles elapsed, counting uncore stalls at the core clock --
         what ``perf``'s ``cycles`` event measures."""
-        return self.core_cycles + self.uncore_ns * self.params.freq_ghz
+        return clock_time(self.core_cycles, self.uncore_ns,
+                          self.params.freq_ghz)[1]
 
     def ipc(self) -> float:
         cycles = self.total_cycles()

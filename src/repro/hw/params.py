@@ -110,12 +110,6 @@ class MachineParams:
 
     # -- derived helpers -----------------------------------------------------------
 
-    def core_cycles_to_ns(self, cycles: float) -> float:
-        return cycles / self.freq_ghz
-
-    def ns_to_core_cycles(self, ns: float) -> float:
-        return ns * self.freq_ghz
-
     def at_frequency(self, freq_ghz: float) -> "MachineParams":
         """A copy of these parameters with a different core clock."""
         return replace(self, freq_ghz=freq_ghz)

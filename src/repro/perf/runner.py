@@ -74,10 +74,15 @@ def measure_throughput(
 ) -> ThroughputPoint:
     """Measure one binary at saturation."""
     run = binary.measure(batches=batches, warmup_batches=warmup_batches)
+    return throughput_point(run, binary.params, len(binary.pmds))
+
+
+def throughput_point(run: MeasuredRun, params, n_ports: int) -> ThroughputPoint:
+    """The saturated point of a single-core ``run`` on ``n_ports`` ports,
+    its CPU rate clamped by ``params``' physical ceilings."""
     cpu_pps = 1e9 / run.ns_per_packet
     frame = run.mean_frame_len or 64.0
-    n_ports = len(binary.pmds)
-    pps, bound_by = _apply_ceilings(cpu_pps, frame, binary.params, n_ports)
+    pps, bound_by = _apply_ceilings(cpu_pps, frame, params, n_ports)
     return ThroughputPoint(
         pps=pps,
         gbps=pps * frame * 8 / 1e9,

@@ -31,6 +31,17 @@ class TestMeasuredRun:
         assert run.ipc == 2.0
         assert run.mean_frame_len == 512.0
 
+    def test_at_frequency_reevaluates_time_and_copies_counters(self):
+        run = self._run()
+        run.core_cycles, run.uncore_ns = 150_000.0, 20_000.0
+        at2 = run.at_frequency(2.0)
+        assert at2.elapsed_ns == 150_000.0 / 2.0 + 20_000.0
+        assert at2.total_cycles == 150_000.0 + 20_000.0 * 2.0
+        assert at2.counters == run.counters
+        assert at2.counters is not run.counters
+        assert (at2.packets, at2.instructions, at2.core_cycles) == (
+            run.packets, run.instructions, run.core_cycles)
+
     def test_zero_packets_safe(self):
         run = MeasuredRun(0, 0, 0, 0, 0.0, 0.0, 0.0, {})
         assert run.ns_per_packet == float("inf")

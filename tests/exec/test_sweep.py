@@ -4,8 +4,11 @@ import pickle
 
 import pytest
 
+from repro.analyze.cli import shipped_configs, shipped_runtime_pairings
 from repro.core.nfs import forwarder
 from repro.core.options import BuildOptions
+from repro.core.packetmill import PacketMill
+from repro.core.profile import BuildError
 from repro.exec import cache as exec_cache
 from repro.exec.sweep import (
     PointSpec,
@@ -157,3 +160,68 @@ def test_experiment_serial_parallel_bit_identical(mod, monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     parallel = mod.run(MICRO).to_json()
     assert serial == parallel
+
+
+#: Every shipped configuration that runs on one core.
+SINGLE_CORE_CONFIGS = sorted(
+    name for name in shipped_configs()
+    if name not in shipped_runtime_pairings()
+    or shipped_runtime_pairings()[name].n_cores == 1
+)
+
+PRESETS = ("vanilla", "devirtualized", "constant", "static",
+           "all_code_opts", "packetmill")
+
+
+class TestFrequencyGroups:
+    """A single-core frequency sweep builds and simulates each build once."""
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("name", SINGLE_CORE_CONFIGS)
+    def test_derived_points_equal_executed_points(self, name, preset):
+        options = getattr(BuildOptions, preset)()
+        specs = [_spec(config=shipped_configs()[name], options=options,
+                       freq_ghz=freq, batches=4, warmup_batches=2)
+                 for freq in (1.2, 2.0, 3.0)]
+        try:
+            derived = run_points(specs, jobs=1)
+        except BuildError as exc:
+            pytest.skip("%s does not build under %s: %s" % (name, preset, exc))
+        for spec, point in zip(specs[1:], derived[1:]):
+            assert point == spec.execute()
+
+    def test_one_build_per_option_and_serial_equals_parallel(self, monkeypatch):
+        builds = []
+        original = PacketMill.build
+
+        def counting_build(mill):
+            builds.append(mill.options)
+            return original(mill)
+
+        specs = [_spec(options=options, freq_ghz=freq)
+                 for options in (BuildOptions.vanilla(),
+                                 BuildOptions.packetmill())
+                 for freq in (1.2, 2.0, 3.0)]
+        monkeypatch.setattr(PacketMill, "build", counting_build)
+        serial = run_points(specs, jobs=1)
+        assert builds == [BuildOptions.vanilla(), BuildOptions.packetmill()]
+        # Each member was stored under its own spec.
+        assert run_points(specs, jobs=1) == serial
+        assert exec_cache.stats()["point_hits"] == len(specs)
+        monkeypatch.undo()
+        exec_cache.reset_caches()
+        assert run_points(specs, jobs=2) == serial
+
+    def test_sharded_points_are_never_grouped(self, monkeypatch):
+        calls = []
+        original = PacketMill.build_sharded
+
+        def counting_build_sharded(mill):
+            calls.append(mill.params.freq_ghz)
+            return original(mill)
+
+        monkeypatch.setattr(PacketMill, "build_sharded", counting_build_sharded)
+        specs = [_spec(n_cores=2, freq_ghz=freq, batches=10, warmup_batches=5)
+                 for freq in (1.2, 3.0)]
+        run_points(specs, jobs=1)
+        assert calls == [1.2, 3.0]
