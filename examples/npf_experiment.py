@@ -3,45 +3,52 @@
 Sweeps {build variant} x {frame size} with three randomized-seed repeats
 per point, reports medians, and writes ``npf_results.csv`` -- the same
 workflow the paper drives its testbed with via the Network Performance
-Framework.
+Framework.  The grid runs on the sweep engine, so its points share the
+exec caches and fan out over ``REPRO_JOBS`` worker processes.
 
 Run:  python examples/npf_experiment.py
 """
 
+import csv
+
 from repro.core.nfs import forwarder
 from repro.core.options import BuildOptions, MetadataModel
-from repro.core.packetmill import PacketMill
-from repro.hw.params import MachineParams
-from repro.net.trace import FixedSizeTraceGenerator, TraceSpec
-from repro.perf.npf import NpfRunner, Variable
-from repro.perf.runner import measure_throughput
+from repro.exec.sweep import PointSpec, TraceKey, run_points
+from repro.perf.stats import percentile
 
 VARIANTS = {
     "copying": BuildOptions.metadata(MetadataModel.COPYING),
     "overlaying": BuildOptions.metadata(MetadataModel.OVERLAYING),
     "xchange": BuildOptions.metadata(MetadataModel.XCHANGE),
 }
+FRAMES = (64, 512, 1024)
+#: One seed per repeat: NPF's randomized environment against measurement bias.
+SEEDS = [1000 + 17 * r for r in range(3)]
+COLUMNS = ("variant", "frame", "gbps", "mpps")
 
 
-def run_point(seed, variant, frame):
-    trace = lambda port, core: FixedSizeTraceGenerator(frame, TraceSpec(seed=seed))
-    binary = PacketMill(
-        forwarder(), VARIANTS[variant],
-        params=MachineParams(freq_ghz=2.3), trace=trace, seed=seed,
-    ).build()
-    point = measure_throughput(binary, batches=120, warmup_batches=60)
-    return {"gbps": point.gbps, "mpps": point.mpps}
+def main():
+    grid = [(variant, frame) for variant in VARIANTS for frame in FRAMES]
+    points = run_points([
+        PointSpec(forwarder(), VARIANTS[variant], 2.3, 120, 60,
+                  trace=TraceKey("fixed", frame, seed=seed, per_port=False),
+                  seed=seed)
+        for variant, frame in grid for seed in SEEDS
+    ])
+
+    print("metadata models x frame size @2.3 GHz")
+    print("  ".join("%12s" % c for c in COLUMNS))
+    with open("npf_results.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(COLUMNS)
+        for i, (variant, frame) in enumerate(grid):
+            repeats = points[i * len(SEEDS):(i + 1) * len(SEEDS)]
+            gbps = percentile([p.gbps for p in repeats], 50)
+            mpps = percentile([p.mpps for p in repeats], 50)
+            print("%12s  %12d  %12.3f  %12.3f" % (variant, frame, gbps, mpps))
+            writer.writerow([variant, frame, gbps, mpps])
+    print("\nwrote npf_results.csv")
 
 
-results = NpfRunner(repeats=3).run(
-    "metadata models x frame size @2.3 GHz",
-    [
-        Variable("variant", list(VARIANTS)),
-        Variable("frame", [64, 512, 1024]),
-    ],
-    run_point,
-)
-
-print(results.format())
-results.to_csv("npf_results.csv")
-print("\nwrote npf_results.csv")
+if __name__ == "__main__":
+    main()

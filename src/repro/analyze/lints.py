@@ -34,10 +34,15 @@ def lint_sources(graph) -> List[Finding]:
 
 
 def lint_unreachable(graph) -> List[Finding]:
-    """Elements no source can reach do cold work: dead configuration."""
+    """Elements no source can reach do cold work: dead configuration.
+
+    Only elements without input ports originate packets; one whose input
+    is merely unwired is dead, and so is everything it feeds.
+    """
     reachable = set()
     for source in graph.sources():
-        reachable.update(e.name for e in graph.reachable_from(source))
+        if source.n_inputs == 0:
+            reachable.update(e.name for e in graph.reachable_from(source))
     return [
         Finding(
             "graph-unreachable", WARNING, element.name,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analyze import ERROR, lint_graph
+from repro.analyze.cli import shipped_configs
 from repro.analyze.lints import (
     lint_dangling_outputs,
     lint_shadowed_rules,
@@ -130,6 +131,21 @@ def test_unreachable_cycle_is_warned():
     assert all(f.severity == "warning" for f in findings)
 
 
+def test_unwired_declaration_and_its_chain_are_warned():
+    # zombie's input is unwired, so it and everything it feeds is dead;
+    # the input -> EtherMirror -> output path is live.
+    config = (
+        "input :: FromDPDKDevice(PORT 0);"
+        "output :: ToDPDKDevice(PORT 0);"
+        "orphan :: Counter; zombie :: EtherMirror; zombie2 :: Counter;"
+        "zombie -> orphan -> zombie2;"
+        "input -> EtherMirror -> output;"
+    )
+    findings = lint_unreachable(_graph(config))
+    assert sorted(f.subject for f in findings) == ["orphan", "zombie", "zombie2"]
+    assert all(f.rule == "graph-unreachable" for f in findings)
+
+
 def test_no_source_is_an_error():
     graph = _graph("a :: EtherMirror; b :: Discard; a -> b;")
     assert "graph-no-source" in _rules(lint_sources(graph))
@@ -143,12 +159,9 @@ def test_dangling_output_is_a_note():
 
 
 def test_shipped_configs_have_no_error_lints():
-    for name, config in {
-        "forwarder": nfs.forwarder(),
-        "router": nfs.router(),
-        "router-icmp": nfs.router(icmp_errors=True),
-        "ids-router": nfs.ids_router(),
-        "nat-router": nfs.nat_router(),
-    }.items():
-        errors = [f for f in lint_graph(_graph(config)) if f.severity == ERROR]
+    # Nor any dead element: every shipped declaration sees packets.
+    for name, config in shipped_configs().items():
+        findings = lint_graph(_graph(config))
+        errors = [f for f in findings if f.severity == ERROR]
         assert not errors, (name, errors)
+        assert "graph-unreachable" not in _rules(findings), name

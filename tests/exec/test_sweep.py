@@ -66,15 +66,6 @@ class TestPicklability:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.execute() == spec.execute()
 
-    def test_npf_test_result_roundtrips(self):
-        from repro.perf.npf import TestResult
-
-        result = TestResult(point={"freq": 2.3, "size": 64},
-                            metrics={"gbps": [1.0, 2.0, 3.0]})
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone.point == result.point
-        assert clone.median("gbps") == result.median("gbps")
-
     def test_telemetry_enabled_point_roundtrips(self):
         # The telemetry bundle drags the full hardware model (TLB LRU
         # sets included) across the process boundary; a pickling failure

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nfs import forwarder, router
+from repro.core.nfs import forwarder, router, workpackage_forwarder
 from repro.faults import ALL_KINDS, FaultSchedule, FaultSpec
 from repro.hw.params import MachineParams
 from repro.telemetry.attribution import DRIVER_BUCKET, TRACKED, CycleAttribution
@@ -83,6 +83,32 @@ class TestConservation:
         for name, value in per_element.items():
             bucket = name[: -len(".cycles")]
             assert totals[bucket] == value
+
+
+class TestPerElement:
+    def test_packets_land_in_the_traversed_buckets(self):
+        binary = build(config=router())
+        run = binary.measure(batches=40, warmup_batches=20)
+        attribution = binary.telemetry.attribution
+        registry = attribution.registry
+        cycles = attribution.totals("cycles")
+        for name in ("c", "rt", "dec"):
+            assert cycles["element." + name] > 0, name
+            assert registry.get("element.%s.packets" % name) > 0, name
+        assert registry.get("pmd.rx.packets") == run.packets
+        assert registry.get("pmd.tx.packets") == run.tx_packets
+        # No ARP traffic in the trace: the responder never runs.
+        arp = binary.graph.by_class("ARPResponder")[0].name
+        assert registry.get("element.%s.packets" % arp) == 0
+
+    def test_top_finds_the_hot_element(self):
+        """A memory-heavy WorkPackage takes over a quarter of the cycles."""
+        binary = build(config=workpackage_forwarder(16, 5, 20))
+        binary.measure(batches=60, warmup_batches=30)
+        (wp,) = binary.graph.by_class("WorkPackage")
+        shares = {bucket: share for bucket, _, share
+                  in binary.telemetry.attribution.top("cycles")}
+        assert shares["element." + wp.name] > 0.25
 
 
 @settings(max_examples=10, deadline=None)
