@@ -4,7 +4,7 @@ Three cooperating checkers over the same IR the cost model executes:
 
 - the **IR verifier** (:mod:`repro.analyze.verifier`): structural
   invariants of every element/PMD program against the active struct
-  layouts, re-run after each compiler pass in debug mode;
+  layouts, re-run after each compiler pass of the analysis's compile;
 - the **X-Change metadata dataflow** (:mod:`repro.analyze.dataflow`):
   per-field def/use propagation along the processing graph
   (use-before-init, dead stores, dead fields), cross-checked against the
@@ -18,9 +18,11 @@ Three cooperating checkers over the same IR the cost model executes:
   outputs, shadowed classifier rules) and sharding safety of stateful
   elements under multicore replication and steering.
 
-:func:`analyze_config` runs everything over one configuration; the CLI
-(``python -m repro.analyze``) wraps it; the build hook
-(``PacketMill(..., analyze=...)``) gates builds on the result.
+:func:`analyze_config` runs everything over one configuration, compiling
+it with the build's own compile step; the CLI (``python -m
+repro.analyze``) wraps it, and :meth:`PacketMill.analysis
+<repro.core.packetmill.PacketMill.analysis>` runs it for a mill, so a
+build is gated with ``mill.analysis().raise_on_errors(); mill.build()``.
 """
 
 from repro.analyze.api import analyze_config, analyze_graph

@@ -1,16 +1,20 @@
 """Whole-configuration analysis: every check, one report.
 
 :func:`analyze_config` runs the complete static-analysis stack over one
-Click configuration under one set of build options, mirroring the build
-pipeline stage by stage without executing a packet:
+Click configuration under one set of build options, compiling it with
+the build's own compile step
+(:func:`repro.compiler.pipeline.compile_graph`) without executing a
+packet:
 
 1. parse the configuration into a :class:`ProcessingGraph` (parse errors
    become findings, not tracebacks);
 2. graph lints (sources, reachability, ports, shadowed rules);
-3. IR verification of each element program, re-verified after every
-   compiler pass the options enable (so a pass bug names its pass);
-4. metadata reordering cross-check, when the options request the pass;
-5. lowering + verification of every lowered program;
+3. IR verification of each element program, then the compile step with
+   the verifier re-run after every pass the options enable (so a pass
+   bug names its pass);
+4. metadata reordering cross-check against the pre-reorder ``Packet``
+   layout, when the options request the pass;
+5. verification of every lowered program;
 6. PMD RX/TX program verification and pool-balance pairing;
 7. path-sensitive constant propagation per output port
    (``constant-branch``, ``redundant-check``);
@@ -23,7 +27,7 @@ pipeline stage by stage without executing a packet:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.analyze.constprop import ConstProp
 from repro.analyze.dataflow import MetadataDataflow, crosscheck_reorder
@@ -36,7 +40,6 @@ from repro.analyze.verifier import (
     verify_pool_pair,
     verify_program,
 )
-from repro.compiler.ir import Program
 from repro.compiler.structlayout import LayoutRegistry, StructLayout
 
 
@@ -87,8 +90,8 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
                   qos=None, profile=None) -> AnalysisReport:
     """Analyze an already-instantiated graph under the given options."""
     from repro.analyze.qos import lint_qos
-    from repro.compiler.pipeline import PassManager
     from repro.compiler.lower import lower
+    from repro.compiler.pipeline import PassManager, compile_graph
     from repro.dpdk.metadata import make_model
 
     if report is None:
@@ -103,29 +106,21 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
     registry = LayoutRegistry()
     model.register_layouts(registry)
     base_packet: StructLayout = registry.get("Packet")
-    if not model.supports_buffering:
-        for element in graph.all_elements():
-            if getattr(element, "buffers_packets", False):
-                report.add(Finding(
-                    "model-cannot-buffer", ERROR, element.name,
-                    "metadata model %r cannot buffer packets, but this "
-                    "element holds them across iterations" % model.name))
+    for name in model.unbuffered_holders(graph):
+        report.add(Finding(
+            "model-cannot-buffer", ERROR, name,
+            "metadata model %r cannot buffer packets, but this "
+            "element holds them across iterations" % model.name))
 
-    # -- element IR, verified through the pass pipeline --------------------------
-    elements = graph.all_elements()
-    pass_manager = PassManager.from_options(options)
-    attach_verifier(
-        pass_manager, registry,
-        collect=lambda findings: report.extend(findings),
-    )
-    element_ir: Dict[str, Program] = {}
-    for element in elements:
-        program = element.ir_program()
+    # -- element IR, then the build's compile step, verified after every pass ---
+    for element in graph.all_elements():
         report.extend(verify_program(
-            program, registry, state_size=element.state_size,
+            element.ir_program(), registry, state_size=element.state_size,
             location="element class %s" % element.decl.class_name,
         ))
-        element_ir[element.name] = pass_manager.run(program)
+    pass_manager = PassManager.from_options(options)
+    attach_verifier(pass_manager, registry, collect=report.extend)
+    compiled = compile_graph(graph, model, options, pass_manager)
 
     # -- PMD driver programs -------------------------------------------------------
     rx_program = model.rx_program()
@@ -143,7 +138,7 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
 
     # -- metadata dataflow (dead edges excluded) -----------------------------------
     dataflow = MetadataDataflow(
-        graph, element_ir, rx_program, tx_program,
+        graph, compiled.element_ir, rx_program, tx_program,
         mbuf_alias=getattr(model, "mbuf_alias", None),
         constprop=constprop,
     )
@@ -158,41 +153,32 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
             rss=getattr(profile, "rss", None),
         ))
 
-    # -- the reordering pass's actual layout decision ------------------------------
+    # -- the reordering pass's decision, against the pre-reorder layout ----------
     if options.reorder_metadata:
-        from repro.compiler.passes import reorder_metadata
-
-        whole_program = list(element_ir.values()) + [rx_program, tx_program]
-        actual = reorder_metadata(whole_program, registry, struct="Packet")
         report.extend(crosscheck_reorder(dataflow, base_packet))
-        expected = base_packet.reordered(
-            _whole_program_counts(whole_program)
-        )
+        expected = base_packet.reordered(_whole_program_counts(
+            list(compiled.element_ir.values()) + [rx_program, tx_program]))
+        actual = compiled.registry.get("Packet")
         if [f.name for f in expected.fields] != [f.name for f in actual.fields]:
             report.add(Finding(
                 "reorder-mismatch", ERROR, "Packet",
                 "the reordering pass produced a field order that differs "
                 "from the whole-program access counts"))
 
-    # -- lowering against the (possibly reordered) active layouts ------------------
-    for element in elements:
-        try:
-            exec_program = lower(element_ir[element.name], registry)
-        except (KeyError, TypeError, ValueError) as exc:
-            report.add(Finding(
-                "exec-lowering-failed", ERROR, element.name, str(exc)))
-            continue
+    # -- the lowered programs against the (possibly reordered) layouts -------------
+    for element in graph.all_elements():
         report.extend(verify_exec_program(
-            exec_program, registry, state_size=max(64, element.state_size),
+            compiled.exec_programs[element.name], compiled.registry,
+            state_size=max(64, element.state_size),
         ))
     for program in (rx_program, tx_program):
         try:
-            exec_program = lower(program, registry)
+            exec_program = lower(program, compiled.registry)
         except (KeyError, TypeError, ValueError) as exc:
             report.add(Finding(
                 "exec-lowering-failed", ERROR, program.name, str(exc)))
             continue
-        report.extend(verify_exec_program(exec_program, registry))
+        report.extend(verify_exec_program(exec_program, compiled.registry))
     return report
 
 

@@ -15,7 +15,8 @@ Run modes:
   returns findings;
 - :func:`attach_verifier` -- hook a :class:`~repro.compiler.pipeline.PassManager`
   so every pass application is re-verified and the *pass that introduced*
-  a violation is named (debug mode, the acceptance bar for pass authors).
+  a violation is named (how :func:`~repro.analyze.analyze_graph` compiles;
+  the acceptance bar for pass authors).
 """
 
 from __future__ import annotations

@@ -1,25 +1,32 @@
-"""Pass manager: ordered, observable application of the IR passes.
+"""Pass manager and the compile step every build and analysis runs.
 
 LLVM's pass-manager discipline, miniaturized: passes run in a declared
 order, each application is recorded (op/instruction deltas), and the
 whole pipeline can be rendered as a report -- which is how the examples
 and tests show *what the mill actually did* to each element.
+
+:func:`compile_graph` is the compile half of the paper's Fig. 3 pipeline
+(layouts, element passes, whole-program reordering, lowering), the one
+copy that :class:`~repro.core.packetmill.PacketMill` and
+:func:`~repro.analyze.analyze_graph` both call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.compiler.ir import Compute, Program
+from repro.compiler.lower import ExecProgram, lower
 from repro.compiler.passes import (
     devirtualize,
     eliminate_dead_code,
     embed_constants,
     inline_calls,
     profile_guided,
-    vectorize,
+    reorder_metadata,
 )
+from repro.compiler.structlayout import LayoutRegistry
 
 PassFn = Callable[[Program], Program]
 
@@ -60,10 +67,10 @@ class PassManager:
 
     passes: List[Tuple[str, PassFn]] = field(default_factory=list)
     records: List[PassRecord] = field(default_factory=list)
-    #: Debug-mode hook called as ``verifier(program, pass_name)`` after
-    #: every pass application; :func:`repro.analyze.attach_verifier`
-    #: installs the IR verifier here so the pass that introduced a
-    #: violation is named at the point it ran.
+    #: Hook called as ``verifier(program, pass_name)`` after every pass
+    #: application; the analysis installs the IR verifier here
+    #: (:func:`repro.analyze.attach_verifier`) so the pass that introduced
+    #: a violation is named at the point it ran.  Builds leave it unset.
     verifier: Optional[Callable[[Program, str], None]] = None
 
     def add(self, name: str, fn: PassFn) -> "PassManager":
@@ -111,13 +118,9 @@ class PassManager:
         return sum(record.removed_ops for record in self.records)
 
     @classmethod
-    def from_options(cls, options, driver_code: bool = False) -> "PassManager":
-        """The pipeline PacketMill runs for the given build options.
-
-        ``driver_code`` selects the PMD-side pipeline, which additionally
-        vectorizes (SIMD batch conversion applies to driver loops, not to
-        element code).
-        """
+    def from_options(cls, options) -> "PassManager":
+        """The element pipeline PacketMill runs for the given build options
+        (the PMD applies its own passes, see :class:`~repro.dpdk.pmd.MlxPmd`)."""
         manager = cls()
         if options.devirtualize or options.static_graph:
             manager.add("devirtualize", devirtualize)
@@ -126,8 +129,42 @@ class PassManager:
             manager.add("dead-code", eliminate_dead_code)
         if options.static_graph or options.lto:
             manager.add("inline", inline_calls)
-        if driver_code and getattr(options, "vectorized_pmd", False):
-            manager.add("vectorize", vectorize)
-        if getattr(options, "pgo", False):
+        if options.pgo:
             manager.add("pgo", profile_guided)
         return manager
+
+
+class CompiledGraph(NamedTuple):
+    """What :func:`compile_graph` produces for one configuration."""
+
+    #: The active struct layouts (``Packet`` reordered when requested).
+    registry: LayoutRegistry
+    #: Each element's program after the pass pipeline, by element name.
+    element_ir: Dict[str, Program]
+    #: Each element's program lowered against ``registry``.
+    exec_programs: Dict[str, ExecProgram]
+
+
+def compile_graph(graph, model, options,
+                  pass_manager: PassManager) -> CompiledGraph:
+    """Compile every element of ``graph`` under ``model`` and ``options``.
+
+    Registers the model's layouts, runs ``pass_manager`` over each
+    element's program, reorders ``Packet`` by the whole program's access
+    counts (elements plus the PMD's RX/TX programs) when the options ask
+    for it, and lowers each element against the resulting layouts.
+    """
+    registry = LayoutRegistry()
+    model.register_layouts(registry)
+    element_ir = {
+        e.name: pass_manager.run(e.ir_program()) for e in graph.all_elements()
+    }
+    if options.reorder_metadata:
+        whole_program = list(element_ir.values()) + [
+            model.rx_program(), model.tx_program(),
+        ]
+        reorder_metadata(whole_program, registry, struct="Packet")
+    exec_programs = {
+        name: lower(program, registry) for name, program in element_ir.items()
+    }
+    return CompiledGraph(registry, element_ir, exec_programs)

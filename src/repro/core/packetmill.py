@@ -30,9 +30,7 @@ from repro.click.driver import (
 )
 from repro.click.elements.io import rx_burst
 from repro.click.graph import ProcessingGraph
-from repro.compiler.lower import lower
-from repro.compiler.passes import reorder_metadata
-from repro.compiler.structlayout import LayoutRegistry
+from repro.compiler.pipeline import PassManager, compile_graph
 from repro.core.binary import SpecializedBinary
 from repro.core.options import BuildOptions
 from repro.core.profile import BuildError, RunProfile
@@ -42,7 +40,6 @@ from repro.dpdk.pmd import MlxPmd
 from repro.faults.injector import FaultInjector
 from repro.faults.watchdog import Watchdog
 from repro.exec import cache as exec_cache
-from repro.exec import env as exec_env
 from repro.hw.cpu import CpuCore
 from repro.hw.layout import AddressSpace
 from repro.hw.memory import MemorySystem
@@ -72,28 +69,12 @@ class PacketMill:
                  options: Optional[BuildOptions] = None, **fields):
         # Every other keyword is a RunProfile field; RunProfile declares
         # them (and their defaults) once, and refuses unknown ones.
-        self._apply_profile(config, RunProfile().with_overrides(
-            options=options, **fields))
-
-    @classmethod
-    def from_profile(cls, config: str, profile: Optional[RunProfile] = None
-                     ) -> "PacketMill":
-        """Build from one consolidated :class:`RunProfile` value."""
-        mill = cls.__new__(cls)
-        mill._apply_profile(config, profile or RunProfile())
-        return mill
-
-    def _apply_profile(self, config: str, profile: RunProfile) -> None:
+        profile = RunProfile().with_overrides(options=options, **fields)
         self.config = config
         self.profile = profile
         # The profile's build variant and machine, defaults applied.
         self.options = profile.options or BuildOptions.vanilla()
         self.params = profile.params or DEFAULT_PARAMS
-        # Static analysis at build time: "error" (or True) refuses to
-        # build a configuration with error-severity findings, "warn"
-        # analyzes and attaches the report without gating.  Default off;
-        # REPRO_ANALYZE=1|error|warn opts a whole run in.
-        self._analyze_mode = self._resolve_analyze_mode(profile.analyze)
         self._analysis_report = None
         trace = profile.trace
         if trace is None:
@@ -103,25 +84,13 @@ class PacketMill:
         else:
             self._trace_factory = lambda port, core: trace
 
-    @staticmethod
-    def _resolve_analyze_mode(analyze) -> Optional[str]:
-        if analyze is None:
-            return exec_env.analyze_mode()
-        if analyze is True:
-            return "error"
-        if not analyze:
-            return None
-        try:
-            return exec_env.ANALYZE_MODES[str(analyze).lower()]
-        except KeyError:
-            raise BuildError(
-                "unknown analyze mode %r (expected error/warn/off)"
-                % (analyze,)
-            ) from None
-
     def analysis(self):
-        """The build's :class:`~repro.analyze.AnalysisReport` (runs the
-        analysis on first use; independent of the analyze mode)."""
+        """The static analysis of this mill's configuration and profile,
+        an :class:`~repro.analyze.AnalysisReport` computed on first use.
+
+        Builds never analyze; to refuse an unsound configuration, gate
+        the build on it: ``mill.analysis().raise_on_errors(); mill.build()``.
+        """
         if self._analysis_report is None:
             from repro.analyze import analyze_config
 
@@ -143,11 +112,6 @@ class PacketMill:
             return DispatchPolicy(mode=DISPATCH_DIRECT, static_segment=False)
         return DispatchPolicy(mode=DISPATCH_VIRTUAL, static_segment=False)
 
-    def _element_pass_manager(self):
-        from repro.compiler.pipeline import PassManager
-
-        return PassManager.from_options(self.options)
-
     # -- build ------------------------------------------------------------------------
 
     def _parse(self):
@@ -167,13 +131,6 @@ class PacketMill:
         mem = MemorySystem(self.params, n_cores=1, seed=self.profile.seed)
         return self._build_core(mem, 0, graph, ports, self._trace_factory,
                                 self.profile.faults)
-
-    def build_runtime(self):
-        """The profile's runtime: a binary, or a sharded runtime when
-        ``n_cores > 1`` (what ``from_profile(...).build_runtime()`` is for)."""
-        if self.profile.n_cores > 1:
-            return self.build_sharded()
-        return self.build()
 
     def build_sharded(self):
         """Build an RSS-sharded runtime: one shared arrival stream per
@@ -250,14 +207,6 @@ class PacketMill:
         # Half-wired configurations fail here, naming element and port,
         # instead of silently never delivering packets to the gap.
         graph.check_required_inputs()
-        analysis = None
-        if self._analyze_mode:
-            analysis = self.analysis()
-            if self._analyze_mode == "error" and not analysis.ok:
-                raise BuildError(
-                    "static analysis refused the build:\n%s"
-                    % analysis.to_text(min_severity="error")
-                )
         cpu = CpuCore(params, mem, core_id)
         # One registry per binary; the shared memory system's per-core
         # counters are mounted under cpu. so the cache model's live
@@ -275,66 +224,39 @@ class PacketMill:
 
         model = (make_model(options.metadata_model) if shared_model is None
                  else shared_model)
-        if options.reorder_metadata and not model.reorder_allowed:
+        holders = model.unbuffered_holders(graph)
+        if holders:
             raise BuildError(
-                "metadata model %r does not allow struct reordering" % model.name
+                "metadata model %r cannot buffer packets, but the "
+                "configuration holds them in: %s (the TinyNF "
+                "restriction the paper contrasts X-Change against)"
+                % (model.name, ", ".join(holders))
             )
-        if not model.supports_buffering:
-            holders = [
-                e.name for e in graph.all_elements()
-                if getattr(e, "buffers_packets", False)
-            ]
-            if holders:
-                raise BuildError(
-                    "metadata model %r cannot buffer packets, but the "
-                    "configuration holds them in: %s (the TinyNF "
-                    "restriction the paper contrasts X-Change against)"
-                    % (model.name, ", ".join(holders))
-                )
         if shared_model is None:
             model.setup(space, params)
 
         # -- element state allocation (static graph vs. scattered heap) -----
-        elements = graph.all_elements()
-        for element in elements:
+        for element in graph.all_elements():
             size = max(64, element.state_size)
             if options.static_graph:
                 element.state_region = space.alloc_static(element.name, size)
             else:
                 element.state_region = space.alloc_heap(element.name, size)
 
-        # -- IR passes over the whole program ---------------------------------
-        # The compile half is a pure function of (config, options, params
-        # sans frequency); the registry and lowered programs are immutable
-        # once built, so replica builds and sweep siblings share them.
-        pass_manager = self._element_pass_manager()
+        # -- compile: passes, reordering, lowering ------------------------------
+        # A pure function of (config, options, params sans frequency); the
+        # registry, lowered programs and pass records are immutable once
+        # built, so replica builds and sweep siblings share them.
+        pass_manager = PassManager.from_options(options)
         cached = exec_cache.lookup_build(self.config, options, params)
         if cached is None:
-            registry = LayoutRegistry()
-            model.register_layouts(registry)
-            if self._analyze_mode:
-                # Debug mode: re-verify each program after every pass so
-                # a pass bug is caught at the application that broke it.
-                from repro.analyze import attach_verifier
-
-                attach_verifier(pass_manager, registry)
-            element_ir = {
-                e.name: pass_manager.run(e.ir_program()) for e in elements
-            }
-            if options.reorder_metadata:
-                whole_program = list(element_ir.values()) + [
-                    model.rx_program(), model.tx_program(),
-                ]
-                reorder_metadata(whole_program, registry, struct="Packet")
-            exec_programs = {
-                name: lower(program, registry)
-                for name, program in element_ir.items()
-            }
-            exec_cache.store_build(
-                self.config, options, params, registry, exec_programs
-            )
+            registry, _, exec_programs = compile_graph(
+                graph, model, options, pass_manager)
+            exec_cache.store_build(self.config, options, params, registry,
+                                   exec_programs, tuple(pass_manager.records))
         else:
-            registry, exec_programs = cached
+            registry, exec_programs, records = cached
+            pass_manager.records = list(records)
 
         # -- NICs and PMDs (one queue per port on this core; `ports` was
         # computed and validated up front, right after parsing) ----------------
@@ -406,12 +328,9 @@ class PacketMill:
             exec_programs=exec_programs,
             trace=pmds[ports[0]].nic.trace,
             model=model,
+            pass_manager=pass_manager,
         )
-        binary.pass_manager = pass_manager
         binary.injector = injector
         binary.qos_ports = qos_ports
         binary.telemetry = telemetry
-        binary.analysis = analysis
-        if analysis is not None:
-            analysis.record(telemetry.registry)
         return binary

@@ -1,23 +1,22 @@
 """RunProfile: one documented config object for a PacketMill build.
 
 :class:`RunProfile` is the one place a build field (``faults``,
-``telemetry``, ``qos``, ``analyze``, ...) is declared, with its default.
-It is a single declarative value that can be stored, compared, and
-passed around:
+``telemetry``, ``qos``, ...) is declared, with its default.
+``PacketMill(config, options, **fields)`` forwards its keywords here
+and keeps the result as ``mill.profile``, a single declarative value
+that can be stored, compared, and passed around:
 
-    profile = RunProfile(
-        options=BuildOptions.packetmill(),
-        params=MachineParams(freq_ghz=2.3),
-        telemetry=TelemetryConfig(),
-    )
-    binary = PacketMill.from_profile(config, profile).build()
+    mill = PacketMill(config, BuildOptions.packetmill(),
+                      params=MachineParams(freq_ghz=2.3),
+                      telemetry=TelemetryConfig())
+    mill.profile.with_overrides(seed=2)   # a sweep's next point
 
-``PacketMill(config, options, **fields)`` forwards its keywords here, so
-``PacketMill(config, telemetry=True)`` and the profile form build the
-same thing.  A keyword that names no field -- in ``PacketMill(...)`` or
-:meth:`RunProfile.with_overrides` -- raises :class:`ProfileError`
-naming it, and so does a bad ``n_cores`` or ``seed``.  The burst is
-not a field: the configuration states it (``FromDPDKDevice(BURST n)``).
+A keyword that names no field -- in
+``PacketMill(...)`` or :meth:`RunProfile.with_overrides` -- raises
+:class:`ProfileError` naming it, and so does a value of the wrong kind
+for any field.  The burst is not a field: the configuration states it
+(``FromDPDKDevice(BURST n)``).  Static analysis is not a build field
+either: :meth:`PacketMill.analysis` runs it on request.
 """
 
 from __future__ import annotations
@@ -60,13 +59,10 @@ class RunProfile:
     - ``watchdog_threshold``: stall iterations before a watchdog reset.
     - ``telemetry``: ``True`` or a :class:`TelemetryConfig` to attach the
       optional recorders (windows, attribution, spans).
-    - ``analyze``: ``"error"``/``"warn"``/``True`` to run static analysis
-      at build time (``REPRO_ANALYZE`` opts whole runs in).
     - ``qos``: a :class:`~repro.qos.QosConfig` for ingress buffer carving
       and PFC; every QoS hook is unreachable when ``None``.
-    - ``n_cores``: replica count; ``> 1`` makes
-      :meth:`PacketMill.build_runtime` return the RSS-sharded
-      :class:`~repro.core.sharded.ShardedRuntime` instead of one binary.
+    - ``n_cores``: replica count, the number of per-core replicas
+      :meth:`PacketMill.build_sharded` steers the ports' flows across.
     - ``rss``: the :class:`~repro.net.rss.RssConfig` driving flow
       sharding (key, indirection table size, mempool policy, per-queue
       backlog bound); defaults apply when ``None``.
@@ -79,16 +75,36 @@ class RunProfile:
     faults: Optional[FaultSchedule] = None
     watchdog_threshold: int = DEFAULT_THRESHOLD
     telemetry: Union[None, bool, TelemetryConfig] = None
-    analyze: Union[None, bool, str] = None
     qos: Optional[QosConfig] = None
     n_cores: int = 1
     rss: Optional[RssConfig] = None
 
     def __post_init__(self):
+        def positive_int(value):
+            return type(value) is int and value > 0
+
+        def none_or(value, kind):
+            return value is None or isinstance(value, kind)
+
+        trace = self.trace
         for name, ok, expected in (
-                ("n_cores", type(self.n_cores) is int and self.n_cores > 0,
+                ("options", none_or(self.options, BuildOptions),
+                 "a BuildOptions or None"),
+                ("params", none_or(self.params, MachineParams),
+                 "a MachineParams or None"),
+                ("trace", trace is None or callable(trace)
+                 or hasattr(trace, "next_packet"),
+                 "a trace generator, a (port, core) factory or None"),
+                ("seed", type(self.seed) is int, "an int"),
+                ("faults", none_or(self.faults, FaultSchedule),
+                 "a FaultSchedule or None"),
+                ("watchdog_threshold", positive_int(self.watchdog_threshold),
                  "a positive int"),
-                ("seed", type(self.seed) is int, "an int")):
+                ("telemetry", none_or(self.telemetry, (bool, TelemetryConfig)),
+                 "True, False, a TelemetryConfig or None"),
+                ("qos", none_or(self.qos, QosConfig), "a QosConfig or None"),
+                ("n_cores", positive_int(self.n_cores), "a positive int"),
+                ("rss", none_or(self.rss, RssConfig), "an RssConfig or None")):
             if not ok:
                 raise ProfileError("RunProfile field %r must be %s, not %r"
                                    % (name, expected, getattr(self, name)))

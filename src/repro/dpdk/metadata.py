@@ -88,7 +88,6 @@ class MetadataModel(abc.ABC):
     """Strategy object for one metadata-management model."""
 
     name: str = "abstract"
-    reorder_allowed: bool = False
     #: Whether the model permits elements that hold packets across
     #: iterations (Queues, reordering) -- TinyNF does not.
     supports_buffering: bool = True
@@ -105,6 +104,16 @@ class MetadataModel(abc.ABC):
     @abc.abstractmethod
     def register_layouts(self, registry: LayoutRegistry) -> None:
         """Register driver structs and the app-visible "Packet" layout."""
+
+    def unbuffered_holders(self, graph) -> List[str]:
+        """The elements of ``graph`` that hold packets across iterations
+        when this model cannot buffer them (TinyNF); empty otherwise.
+        A build refuses such a configuration, and analysis reports each
+        as ``model-cannot-buffer``."""
+        if self.supports_buffering:
+            return []
+        return [e.name for e in graph.all_elements()
+                if getattr(e, "buffers_packets", False)]
 
     # -- buffer management -----------------------------------------------------
 
@@ -245,7 +254,6 @@ class CopyingModel(MetadataModel):
     """
 
     name = "copying"
-    reorder_allowed = True
 
     def __init__(self, pool_objects: int = 4096):
         super().__init__()
@@ -320,7 +328,6 @@ class OverlayingModel(MetadataModel):
     """
 
     name = "overlaying"
-    reorder_allowed = False  # layout is pinned to the rte_mbuf ABI
     #: The overlay cast makes the PMD's mbuf stores visible as Packet
     #: fields -- the dataflow analysis folds these into the RX defs.
     mbuf_alias = OVERLAY_MBUF_ALIAS
@@ -375,7 +382,6 @@ class XChangeModel(MetadataModel):
     """
 
     name = "xchange"
-    reorder_allowed = False  # evaluated separately in the paper (§4.1 note)
 
     def __init__(self, conversions: Optional[ConversionSet] = None,
                  meta_buffers: int = 64):

@@ -20,7 +20,6 @@ class TinyNfModel(XChangeModel):
     """Static per-slot buffers, minimal metadata, in-order processing."""
 
     name = "tinynf"
-    reorder_allowed = False
     supports_buffering = False
 
     def __init__(self):

@@ -10,16 +10,17 @@ Three layers, each bit-exact by construction:
   frames, same RNG state, cursor back at zero -- indistinguishable from a
   fresh construction.
 
-- **Build cache.**  The compile half of :meth:`PacketMill.build` -- layout
-  registration, IR passes, metadata reordering, lowering -- is a pure
-  function of ``(config text, BuildOptions, machine params sans
-  frequency)``.  The resulting :class:`LayoutRegistry` and
-  ``{element: ExecProgram}`` map are immutable after the build (the
-  reorder pass *replaces* registry entries, it never mutates a published
-  layout, and nothing writes an ``ExecProgram`` after lowering), so they
-  are shared across binaries.  Frequency is excluded from the key because
-  it only scales time, never code: that is what lets a frequency sweep
-  compile once.
+- **Build cache.**  The compile half of :meth:`PacketMill.build`
+  (:func:`repro.compiler.pipeline.compile_graph`: layout registration, IR
+  passes, metadata reordering, lowering) is a pure function of ``(config
+  text, BuildOptions, machine params sans frequency)``.  The resulting
+  :class:`LayoutRegistry`, ``{element: ExecProgram}`` map and pass
+  records are immutable after the build (the reorder pass *replaces*
+  registry entries, it never mutates a published layout, and nothing
+  writes an ``ExecProgram`` after lowering), so they are shared across
+  binaries; each binary's pass manager gets its own list of the records.
+  Frequency is excluded from the key because it only scales time, never
+  code: that is what lets a frequency sweep compile once.
 
 - **Point cache.**  A whole measured sweep point
   (:class:`repro.exec.sweep.PointSpec` -> :class:`ThroughputPoint`) is
@@ -147,7 +148,7 @@ def trace_generator(kind: str, frame_len: Optional[int] = None, seed: int = 42):
 
 # -- build cache ---------------------------------------------------------------
 
-_build_cache: Dict[tuple, Tuple[object, Dict[str, object]]] = {}
+_build_cache: Dict[tuple, Tuple[object, Dict[str, object], tuple]] = {}
 
 
 def _freeze(value):
@@ -170,7 +171,8 @@ def params_signature(params) -> tuple:
 
 
 def lookup_build(config: str, options, params):
-    """Cached ``(layout registry, exec programs)`` for a build, if any."""
+    """Cached ``(layout registry, exec programs, pass records)`` for a
+    build, if any."""
     if not cache_enabled():
         return None
     artifacts = _build_cache.get((config, options, params_signature(params)))
@@ -181,11 +183,12 @@ def lookup_build(config: str, options, params):
     return artifacts
 
 
-def store_build(config: str, options, params, registry, exec_programs) -> None:
+def store_build(config: str, options, params, registry, exec_programs,
+                records: tuple) -> None:
     if not cache_enabled():
         return
     _build_cache[(config, options, params_signature(params))] = (
-        registry, exec_programs,
+        registry, exec_programs, records,
     )
 
 

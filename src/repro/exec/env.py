@@ -1,12 +1,8 @@
 """The ``REPRO_*`` environment variables, read in one place.
 
-Four variables tune a whole process; each is read per call, so tests can
-flip it:
+Three variables tune a whole process; each is read per call, so tests
+can flip it:
 
-- ``REPRO_ANALYZE`` -- build-time static analysis for builds that do not
-  pass ``analyze=``: ``error`` (also ``1``/``true``/``on``/``yes``),
-  ``warn`` (also ``warning``/``report``) or off (``0``/``false``/
-  ``off``/``no``, the default).
 - ``REPRO_CACHE`` -- the execution caches: on (``1``/``true``/``on``/
   ``yes``, the default) or off (``0``/``false``/``off``/``no``).
 - ``REPRO_JOBS`` -- sweep worker count, a positive integer (default: the
@@ -23,17 +19,10 @@ spellings are matched exactly, so ``Serial`` is refused like ``seriall``.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 _ON = ("1", "true", "on", "yes")
 _OFF = ("0", "false", "off", "no")
-
-#: ``REPRO_ANALYZE`` (and the ``analyze=`` build field) spelling -> mode.
-ANALYZE_MODES: Dict[str, Optional[str]] = {
-    **{word: None for word in _OFF},
-    **{word: "error" for word in _ON + ("error",)},
-    "warn": "warn", "warning": "warn", "report": "warn",
-}
 _CACHE = {**{word: True for word in _ON}, **{word: False for word in _OFF}}
 _SWEEP = {mode: mode for mode in ("auto", "serial", "parallel")}
 
@@ -57,11 +46,6 @@ def _lookup(name: str, table: dict, default):
         raise _refuse(name, raw, "one of " + "/".join(table)) from None
 
 
-def analyze_mode() -> Optional[str]:
-    """``"error"``, ``"warn"`` or ``None`` (off) from ``REPRO_ANALYZE``."""
-    return _lookup("REPRO_ANALYZE", ANALYZE_MODES, None)
-
-
 def cache_enabled() -> bool:
     """Whether ``REPRO_CACHE`` leaves the execution caches on."""
     return _lookup("REPRO_CACHE", _CACHE, True)
@@ -83,9 +67,7 @@ def sweep_mode() -> str:
 
 
 __all__ = [
-    "ANALYZE_MODES",
     "EnvVarError",
-    "analyze_mode",
     "cache_enabled",
     "jobs",
     "sweep_mode",

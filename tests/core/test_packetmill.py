@@ -29,8 +29,8 @@ class TestBuild:
         assert run.ipc > 0
 
     def test_default_build_does_not_import_the_analyzer(self):
-        # Static analysis is opt-in (analyze=/REPRO_ANALYZE); a plain
-        # build must not pay for importing it.
+        # Static analysis runs only through mill.analysis(); a build
+        # must not pay for importing it.
         script = (
             "import sys\n"
             "from repro.core import nfs\n"

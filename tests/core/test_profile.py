@@ -10,11 +10,9 @@ from repro.core.nfs import router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import PacketMill
 from repro.core.profile import ProfileError, RunProfile
-from repro.exec import cache as exec_cache
 from repro.faults.schedule import FaultSchedule
-from repro.hw.params import MachineParams
+from repro.hw.params import DEFAULT_PARAMS, MachineParams
 from repro.net.rss import RssConfig
-from repro.perf.runner import measure_throughput
 from repro.qos import QosConfig
 from repro.telemetry import TelemetryConfig
 
@@ -22,49 +20,33 @@ FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunProfile))
 
 
 def test_defaults_match_packetmill_defaults():
-    profile = RunProfile()
-    via_profile = PacketMill.from_profile(router(), profile)
-    via_kwargs = PacketMill(router())
-    assert via_profile.options == via_kwargs.options
-    assert via_profile.params == via_kwargs.params
+    mill = PacketMill(router())
+    assert mill.profile == RunProfile()
+    assert mill.options == BuildOptions.vanilla()
+    assert mill.params == DEFAULT_PARAMS
 
 
 def test_kwargs_shim_builds_the_same_profile():
     options = BuildOptions.packetmill()
     params = MachineParams().at_frequency(2.3)
     mill = PacketMill(router(), options, params=params, seed=3,
-                      analyze="warn")
+                      telemetry=True)
     assert mill.profile == RunProfile(options=options, params=params,
-                                      seed=3, analyze="warn")
-
-
-def test_from_profile_measures_identically_to_kwargs():
-    options = BuildOptions.packetmill()
-    params = MachineParams().at_frequency(2.3)
-    exec_cache.reset_caches()
-    a = measure_throughput(
-        PacketMill.from_profile(
-            router(), RunProfile(options=options, params=params)).build(),
-        batches=40, warmup_batches=10)
-    exec_cache.reset_caches()
-    b = measure_throughput(
-        PacketMill(router(), options, params=params).build(),
-        batches=40, warmup_batches=10)
-    assert a == b
+                                      seed=3, telemetry=True)
 
 
 def test_with_overrides_is_a_functional_update():
     base = RunProfile(options=BuildOptions.packetmill(), seed=1)
-    swept = base.with_overrides(seed=2, analyze="warn")
-    assert base.seed == 1 and base.analyze is None
-    assert swept.seed == 2 and swept.analyze == "warn"
+    swept = base.with_overrides(seed=2, telemetry=True)
+    assert base.seed == 1 and base.telemetry is None
+    assert swept.seed == 2 and swept.telemetry is True
     assert swept.options == base.options
 
 
 def test_describe_lists_only_non_defaults():
     assert RunProfile().describe() == "(defaults)"
-    text = RunProfile(seed=9, analyze="warn").describe()
-    assert "seed=9" in text and "warn" in text
+    text = RunProfile(seed=9, telemetry=True).describe()
+    assert "seed=9" in text and "telemetry=True" in text
     assert "n_cores" not in text
 
 
@@ -81,7 +63,6 @@ SAMPLE_FIELDS = {
     "faults": FaultSchedule(),
     "watchdog_threshold": 7,
     "telemetry": TelemetryConfig(),
-    "analyze": "warn",
     "qos": QosConfig(),
     "n_cores": 2,
     "rss": RssConfig(),
@@ -117,12 +98,14 @@ def test_unknown_field_is_refused_by_name(name, call):
 
 @pytest.mark.parametrize("name, value", [
     ("n_cores", 0), ("n_cores", -2), ("n_cores", 1.0), ("seed", "x"),
-    ("seed", None),
+    ("seed", None), ("options", "packetmill"), ("params", 3), ("trace", 5),
+    ("faults", 7), ("watchdog_threshold", "x"), ("watchdog_threshold", 0),
+    ("telemetry", "yes"), ("qos", 1), ("rss", 2),
 ])
 def test_bad_value_is_refused_by_name(name, value):
     message = "RunProfile field %r must be" % name
     with pytest.raises(ProfileError, match=message):
-        PacketMill.from_profile(router(), RunProfile(**{name: value}))
+        PacketMill(router(), **{name: value})
     with pytest.raises(ProfileError, match=message):
         RunProfile().with_overrides(**{name: value})
 

@@ -8,7 +8,6 @@ import pytest
 from repro.core.nfs import nat_router
 from repro.core.options import BuildOptions
 from repro.core.packetmill import BuildError, PacketMill
-from repro.core.profile import RunProfile
 from repro.core.sharded import ShardedRuntime
 from repro.faults.audit import (
     ShardConservationError,
@@ -140,9 +139,9 @@ class TestShardedExecution:
         with pytest.raises(RuntimeError):
             runtime.run_until_eof(max_batches=8)
 
-    def test_from_profile_builds_sharded_runtime(self):
-        profile = RunProfile(trace=finite_trace_factory(), n_cores=2)
-        runtime = PacketMill.from_profile(CONFIG, profile).build_runtime()
+    def test_profile_builds_sharded_runtime(self):
+        runtime = PacketMill(CONFIG, trace=finite_trace_factory(),
+                             n_cores=2).build_sharded()
         assert isinstance(runtime, ShardedRuntime)
         assert runtime.n_cores == 2
 

@@ -134,6 +134,7 @@ class TestBufferLifecycles:
 
         monkeypatch.setattr(packetmill, "make_model", spy)
         monkeypatch.setattr(metadata, "make_model", spy)
-        packetmill.PacketMill(forwarder(), BuildOptions.packetmill(),
-                              analyze="warn").build()
+        mill = packetmill.PacketMill(forwarder(), BuildOptions.packetmill())
+        mill.analysis()
+        mill.build()
         assert calls == [MetadataModel.XCHANGE, MetadataModel.XCHANGE]

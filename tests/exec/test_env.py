@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.core.nfs import router
-from repro.core.packetmill import PacketMill
 from repro.exec import cache as exec_cache
 from repro.exec.env import EnvVarError
 from repro.exec.sweep import SweepEngine, default_jobs
 
 
 @pytest.mark.parametrize("name, value, read", [
-    ("REPRO_ANALYZE", "loud", lambda: PacketMill(router())),
     ("REPRO_CACHE", "disable", lambda: exec_cache.point_get("spec")),
     ("REPRO_JOBS", "abc", default_jobs),
     ("REPRO_JOBS", "0", default_jobs),
