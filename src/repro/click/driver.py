@@ -383,14 +383,11 @@ class RouterDriver:
             self.dispatch.charge(self.cpu, element, self.params)
             program = self.exec_programs[element.name]
             state = element.state_region.base if element.state_region else 0
-            cpu = self.cpu
-            for pkt in batch:
-                ref = pkt.mbuf
-                if ref is not None:
-                    execute_bases(cpu, program, ref.meta_addr, ref.mbuf_addr,
-                                  ref.cqe_addr, ref.data_addr, state)
-                else:
-                    execute_bases(cpu, program, 0, 0, 0, 0, state)
+            execute_bases(self.cpu, program, [
+                (0, 0, 0, 0, state) if (ref := pkt.mbuf) is None
+                else (ref.meta_addr, ref.mbuf_addr, ref.cqe_addr,
+                      ref.data_addr, state)
+                for pkt in batch])
         finally:
             # Attribute even a partial (raising) charge to the element --
             # the marks must tile the run for the totals to conserve.

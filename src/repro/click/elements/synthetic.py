@@ -25,7 +25,8 @@ class WorkPackage(Element):
     def configure(self, args, kwargs):
         self.declare_param("s_mb", float(kwargs.get("S", 1)), size=4)
         self.declare_param("n_accesses", int(kwargs.get("N", 1)), size=4)
-        self.declare_param("w_numbers", int(kwargs.get("W", 1)), size=4)
+        self._w_numbers = self.declare_param("w_numbers",
+                                             int(kwargs.get("W", 1)), size=4)
         self._prng_state = 88172645463325252
         self.processed = 0
 
@@ -33,19 +34,16 @@ class WorkPackage(Element):
     def footprint_bytes(self) -> int:
         return int(self.param("s_mb") * MB)
 
-    def _xorshift(self) -> int:
-        x = self._prng_state
-        x ^= (x << 13) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 7
-        x ^= (x << 17) & 0xFFFFFFFFFFFFFFFF
-        self._prng_state = x
-        return x
-
     def process(self, pkt):
-        # Functional side: really run the PRNG the element is defined by;
-        # the memory accesses' cost is charged via the IR program.
-        for _ in range(self.param("w_numbers")):
-            self._xorshift()
+        # Functional side: really run the PRNG the element is defined by,
+        # W xorshift64 steps; the memory accesses' cost is charged via the
+        # IR program.
+        x = self._prng_state
+        for _ in range(self._w_numbers):
+            x ^= (x << 13) & 0xFFFFFFFFFFFFFFFF
+            x ^= x >> 7
+            x ^= (x << 17) & 0xFFFFFFFFFFFFFFFF
+        self._prng_state = x
         self.processed += 1
         return 0
 

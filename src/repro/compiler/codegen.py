@@ -244,13 +244,33 @@ class _ShadowMem:
         h = (addr * 2654435761 + size * 97 + (13 if write else 0)) % 1009
         return h * 0.25, h * 0.125
 
-    def access_ops(self, core_id, ops, bases, cycles, ns):
-        for target, offset, size, write in ops:
-            op_cycles, op_ns = self.access(core_id, bases[target] + offset,
-                                           size, write)
-            cycles += op_cycles
-            ns += op_ns
-        return cycles, ns
+    def charge(self, cpu, instructions, miss, ops, random_ops, rows,
+               prefetch=()):
+        """``MemorySystem.charge``'s sequence over this stand-in's costs,
+        for :func:`execute_bases` on a shadow core; no caller passes
+        prefetches."""
+        params = cpu.params
+        for bases in rows:
+            cpu.instructions += instructions
+            cycles = cpu.core_cycles + instructions / params.issue_ipc
+            if miss:
+                cycles += params.branch_miss_cycles * miss
+                self.counters[0].handles.branch_misses.value += round(miss)
+            ns = cpu.uncore_ns
+            for target, offset, size, write in ops:
+                op_cycles, op_ns = self.access(cpu.core_id,
+                                               bases[target] + offset,
+                                               size, write)
+                cycles += op_cycles
+                ns += op_ns
+            cpu.core_cycles = cycles
+            cpu.uncore_ns = ns
+            for footprint, count in random_ops:
+                for _ in range(count):
+                    op_cycles, op_ns = self.analytic_access(cpu.core_id,
+                                                            footprint)
+                    cpu.core_cycles += op_cycles
+                    cpu.uncore_ns += op_ns
 
     def analytic_access(self, core_id, footprint):
         return (footprint % 251) * 0.5, (footprint % 127) * 0.25

@@ -1,21 +1,23 @@
 """Execution of lowered cost programs against the hardware model.
 
-:func:`execute_bases` charges one packet's worth of an :class:`ExecProgram`
-to a :class:`~repro.hw.cpu.CpuCore`: issue bandwidth for the instruction
-count, expected branch-miss penalties, and one cache-hierarchy access per
-memory op, with the op's target tag resolved to one of the packet's base
-addresses ``(meta, mbuf, descriptor, data, state)``.
+:func:`execute_bases` charges a burst of packets' worth of an
+:class:`ExecProgram` to a :class:`~repro.hw.cpu.CpuCore`: issue bandwidth
+for the instruction count, expected branch-miss penalties, and one
+cache-hierarchy access per memory op, with the op's target tag resolved
+to one of each packet's base addresses ``(meta, mbuf, descriptor, data,
+state)``.
 
-Because it runs once per packet per element, the per-op work is
-specialized: each program's memory ops are flattened once into a tuple of
-``(target_index, offset, size, write)`` rows (cached on the program), and
-the whole tuple goes, with the packet's base addresses, to
-:meth:`~repro.hw.memory.MemorySystem.access_ops` in one call.  The
-hardware model charges the rows in order and adds each op's cost to the
-core's running totals, so the result is bit-identical to one ``access``
-call per op -- which is what :func:`execute_interpreted`, the reference
-walk over the lowered ``MemOp`` dataclasses, does.  Every build charges
-its programs through :func:`execute_bases`.
+Because it runs once per element visit and per PMD burst, the per-op work
+is specialized: each program's memory ops are flattened once into a tuple
+of ``(target_index, offset, size, write)`` rows (cached on the program),
+and the whole tuple goes, with every packet's base addresses, to
+:meth:`~repro.hw.memory.MemorySystem.charge` in one call.  The hardware
+model charges the packets and their rows in order and adds each op's
+cost to the core's running totals, so the result is bit-identical to one
+``access`` call per op and packet -- which is what
+:func:`execute_interpreted`, the reference walk over the lowered ``MemOp``
+dataclasses, does.  Every build charges its programs through
+:func:`execute_bases`.
 """
 
 from __future__ import annotations
@@ -53,54 +55,28 @@ def compiled_ops(program: ExecProgram):
         return ops
 
 
-def execute_bases(cpu, program: ExecProgram, meta: int, mbuf: int,
-                  descriptor: int, data: int, state: int) -> None:
-    """Charge one packet's execution with the base addresses unpacked.
+def execute_bases(cpu, program: ExecProgram, rows, prefetch=()) -> None:
+    """Charge ``program`` once per row of base addresses, in one call.
 
-    The entry point for the driver and PMD hot loops.  Identical charge
-    sequence to :func:`execute_interpreted`.
+    Each row is one packet's ``(meta, mbuf, descriptor, data, state)``
+    bases.  The whole burst goes to the hardware model in one
+    :meth:`~repro.hw.memory.MemorySystem.charge` call, which charges each
+    row in order: the optional ``prefetch`` rows ``(base index, bytes,
+    skip a zero base)``, the program's compute and branch-miss charge, its
+    memory ops and its random ops.  That is the float sequence of one
+    ``CpuCore.prefetch`` per prefetch followed by
+    :func:`execute_interpreted` per packet, so the result is bit-identical.
 
-    The compute and branch-miss charge is made here, with the float
-    operations of ``CpuCore.charge_compute`` and then
-    ``CpuCore.charge_branch_miss`` in their order, and stored on the core
-    before the memory walk starts: a walk that raises leaves the same
-    partial charge the two calls would.
-
-    Memory and random ops charge no instructions (they were folded into
-    ``program.instructions``), so their latency is added to the core
-    directly, as the generated kernels do: ``CpuCore.mem_access`` with
-    ``instructions=0.0`` would add ``cycles + 0.0 / ipc``, which is
-    exactly ``cycles``.  All memory ops go to the hardware model in one
-    :meth:`~repro.hw.memory.MemorySystem.access_ops` call, which adds
-    each op's cost to the core's running totals in op order -- the same
-    float additions as one ``access`` call per op.
+    A row that raises (a ``None`` base) leaves the rows before it fully
+    charged, and itself with its prefetches and compute charge but none of
+    its memory costs.
     """
-    params = cpu.params
-    instructions = program.instructions
-    cpu.instructions += instructions
-    cycles = cpu.core_cycles + instructions / params.issue_ipc
-    miss = program.branch_miss_expect
-    if miss:
-        cycles += params.branch_miss_cycles * miss
-        handles = cpu.mem.counters[cpu.core_id].handles
-        handles.branch_misses.value += round(miss)
-    cpu.core_cycles = cycles
     try:
         ops = program._compiled_ops
     except AttributeError:
         ops = compiled_ops(program)
-    if ops:
-        cpu.core_cycles, cpu.uncore_ns = cpu.mem.access_ops(
-            cpu.core_id, ops, (meta, mbuf, descriptor, data, state),
-            cycles, cpu.uncore_ns)
-    if program.random_ops:
-        core_id = cpu.core_id
-        analytic = cpu.mem.analytic_access
-        for footprint, count in program.random_ops:
-            for _ in range(count):
-                cycles, ns = analytic(core_id, footprint)
-                cpu.core_cycles += cycles
-                cpu.uncore_ns += ns
+    cpu.mem.charge(cpu, program.instructions, program.branch_miss_expect,
+                   ops, program.random_ops, rows, prefetch)
 
 
 def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,

@@ -26,6 +26,13 @@ BURST_OVERHEAD_INSTRUCTIONS = 26.0
 DOORBELL_NS = 30.0
 #: TX ring occupancy beyond which completed buffers are reaped.
 TX_FREE_THRESHOLD = 32
+#: The MLX5 RX loop's prefetches before it converts a packet, in issue
+#: order: the CQE, the rte_mbuf (none under X-Change, whose base is 0),
+#: the metadata struct and the packet's first lines.  Rows are
+#: ``(base index, bytes, skip a zero base)`` over ``execute_bases``'s
+#: (meta, mbuf, descriptor, data, state) bases.
+RX_PREFETCH = ((2, 64, False), (1, 128, True), (0, 128, False),
+               (3, 128, False))
 
 
 class MlxPmd:
@@ -93,19 +100,26 @@ class MlxPmd:
         if spans is not None:
             spans.pop()
             spans.push("convert")
+        cpu = self.cpu
+        model = self.model
         out: List[Packet] = []
+        rows = []
         for ref, pkt in delivered:
             if pkt.rx_error is not None:
                 # Hardware offload validation: damaged frames are flagged
                 # in the CQE and discarded here as counted drops, the
-                # buffer going straight back to the pool.
+                # buffer going straight back to the pool.  The frames
+                # before it are charged first, as the loop reached them.
+                if rows:
+                    execute_bases(cpu, self.rx_exec, rows, RX_PREFETCH)
+                    rows = []
                 counters = self.nic.counters
                 counters.rx_errors += 1
                 if pkt.rx_error == "truncated":
                     counters.rx_truncated += 1
                 else:
                     counters.rx_corrupt += 1
-                self.model.release(ref, self.cpu)
+                model.release(ref, cpu)
                 ticket = pkt.qos_ticket
                 if ticket is not None:
                     # The discarded frame leaves the system here; release
@@ -113,18 +127,14 @@ class MlxPmd:
                     pkt.qos_ticket = None
                     ticket[0].drain(ticket[1])
                 continue
-            ref = self.model.on_rx(ref, self.cpu)
-            # The MLX5 RX loop prefetches the CQE, the metadata struct,
-            # and the packet's first lines before converting/processing.
-            self.cpu.prefetch(ref.cqe_addr, 64)
-            if ref.mbuf_addr:
-                self.cpu.prefetch(ref.mbuf_addr, 128)
-            self.cpu.prefetch(ref.meta_addr, 128)
-            self.cpu.prefetch(ref.data_addr, 128)
-            execute_bases(self.cpu, self.rx_exec, ref.meta_addr,
-                          ref.mbuf_addr, ref.cqe_addr, ref.data_addr, 0)
+            ref = model.on_rx(ref, cpu)
+            rows.append((ref.meta_addr, ref.mbuf_addr, ref.cqe_addr,
+                         ref.data_addr, 0))
             pkt.mbuf = ref
             out.append(pkt)
+        if rows:
+            # Prefetch and convert every packet in one charge.
+            execute_bases(cpu, self.rx_exec, rows, RX_PREFETCH)
         if spans is not None:
             spans.pop()
         # Replenish the RX ring with as many buffers as were consumed
@@ -152,8 +162,10 @@ class MlxPmd:
                 self.nic.counters.tx_full += len(packets) - sent
                 break
             wqe_addr = self.nic.transmit(ref, len(pkt))
-            execute_bases(self.cpu, self.tx_exec, ref.meta_addr,
-                          ref.mbuf_addr, wqe_addr, ref.data_addr, 0)
+            # One packet at a time: the NIC's DMA read of each frame
+            # comes before that frame's TX program.
+            execute_bases(self.cpu, self.tx_exec, ((
+                ref.meta_addr, ref.mbuf_addr, wqe_addr, ref.data_addr, 0),))
             ticket = pkt.qos_ticket
             if ticket is not None:
                 # Transmitted: the frame leaves the ingress buffer.

@@ -65,11 +65,12 @@ class L2fwdBinary:
 
     def step(self) -> int:
         pkts = self.pmd.rx_burst(self.burst)
+        rows = []
         for pkt in pkts:
             ref = pkt.mbuf
-            execute_bases(self.cpu, self._app, ref.meta_addr, ref.mbuf_addr,
-                          0, ref.data_addr, 0)
+            rows.append((ref.meta_addr, ref.mbuf_addr, 0, ref.data_addr, 0))
             pkt.ether().swap_addresses()
+        execute_bases(self.cpu, self._app, rows)
         sent = self.pmd.tx_burst(pkts)
         self._rx_packets += len(pkts)
         self._tx_packets += sent

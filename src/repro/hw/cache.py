@@ -125,11 +125,12 @@ class CacheHierarchy:
     that to skip the DDIO bookkeeping on private sets.
 
     ``last_line[core]`` is the line that core's last demand access ended
-    on, or ``None``.  :meth:`MemorySystem.access_ops
-    <repro.hw.memory.MemorySystem.access_ops>` sets it; while it is set,
-    the line is the MRU entry of its L1 set.  Anything else that can
-    reorder or drop a core's L1 lines clears it: every ``lookup`` (for
-    that core), a ``dma_write`` over the line, and ``flush``.
+    on, or ``None``.  :meth:`MemorySystem.charge
+    <repro.hw.memory.MemorySystem.charge>` sets it; while it is set, the
+    line is the MRU entry of its L1 set.  Anything else that can reorder
+    or drop a core's L1 lines clears it: every ``lookup`` (for that
+    core, prefetches included), a ``dma_write`` over the line, and
+    ``flush``.
     """
 
     L1, L2, LLC, DRAM = L1, L2, LLC, DRAM

@@ -66,7 +66,11 @@ class CpuCore:
         self.uncore_ns += ns
 
     def prefetch(self, addr: int, size: int = 64) -> None:
-        """Issue a software prefetch (1 instruction, overlapped latency)."""
+        """Issue a software prefetch (1 instruction, overlapped latency).
+
+        The PMD's receive prefetches are charged with its programs, by
+        ``MemorySystem.charge``, with the same float operations.
+        """
         ns = self.mem.prefetch(self.core_id, addr, size)
         self.instructions += 1
         self.core_cycles += 1 / self.params.issue_ipc

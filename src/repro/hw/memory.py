@@ -35,6 +35,21 @@ class AccessLevel(enum.IntEnum):
     DRAM = 3
 
 
+class _Totals:
+    """A core's running totals without the core, which
+    :meth:`MemorySystem.access_ops` hands :meth:`MemorySystem.charge`."""
+
+    __slots__ = ("params", "core_id", "instructions", "core_cycles",
+                 "uncore_ns")
+
+    def __init__(self, params):
+        self.params = params
+        self.core_id = 0
+        self.instructions = 0.0
+        self.core_cycles = 0.0
+        self.uncore_ns = 0.0
+
+
 class MemorySystem:
     """Shared memory system for ``n_cores`` simulated cores."""
 
@@ -51,6 +66,10 @@ class MemorySystem:
         self.l1_effective = params.l1_size // 2
         self.l2_effective = int(params.l2_size * 0.75)
         self.llc_effective = 14 * 1024 * 1024
+        # footprint -> analytic_access's (p_l1, p_l2, p_llc).
+        self._hit_odds = {}
+        # The running totals :meth:`access_ops` charges in place of a core.
+        self._totals = _Totals(params)
 
     # -- exact simulation ------------------------------------------------------
 
@@ -65,17 +84,54 @@ class MemorySystem:
 
     def access_ops(self, core: int, ops, bases, cycles: float,
                    ns: float) -> Tuple[float, float]:
-        """Charge a program's memory ops in order; returns the updated
+        """Charge memory ops over one row of bases; returns the updated
         running ``(cycles, ns)``.
 
-        Each ``(target, offset, size, write)`` row accesses ``size`` bytes
-        at ``bases[target] + offset``.  Each cache line spanned counts as
-        one load/store; the TLB is consulted once per page touched.  An
-        op's cost is summed from ``0.0`` over its lines and then added to
-        the running totals, which is the float sequence of one
-        :meth:`access` per op.  An op on one line (nearly all of them)
-        takes no loop: that subtotal is the line's one cycle cost, or its
-        walk ns plus its LLC/DRAM ns, since ``0.0 + x`` is exactly ``x``.
+        One row through :meth:`charge`, with no compute charge: its
+        ``0.0 / issue_ipc`` adds exactly nothing.  A walk that raises
+        returns nothing, and the memo and ``dtlb_walks`` stand as the ops
+        charged so far left them.
+        """
+        totals = self._totals
+        totals.core_id = core
+        totals.core_cycles = cycles
+        totals.uncore_ns = ns
+        self.charge(totals, 0.0, 0.0, ops, (), (bases,))
+        return totals.core_cycles, totals.uncore_ns
+
+    def charge(self, cpu, instructions: float, miss: float, ops, random_ops,
+               rows, prefetch=()) -> None:
+        """Charge one program to ``cpu`` once per row of base addresses.
+
+        ``cpu`` is the core whose ``instructions``/``core_cycles``/
+        ``uncore_ns`` totals the charge adds to, read at the start and
+        stored at the end; its ``params`` price the compute.  Each row
+        holds the bases the ops and prefetches index, and is charged in
+        order, one packet at a time:
+
+        1. each ``(target, size, skip_zero)`` prefetch: ``size`` bytes at
+           ``row[target]`` pulled toward L1 (not issued when
+           ``skip_zero`` and the base is 0), for one instruction,
+           ``1 / issue_ipc`` cycles and its LLC/DRAM ns at
+           ``prefetch_mlp``, with no events;
+        2. the compute: ``instructions`` and ``instructions / issue_ipc``
+           cycles, then ``branch_miss_cycles * miss`` cycles and
+           ``round(miss)`` branch misses;
+        3. the memory ops ``(target, offset, size, write)``, each ``size``
+           bytes at ``row[target] + offset``;
+        4. the random ops ``(footprint, count)``, each ``count`` analytic
+           accesses.
+
+        These are the float operations, decisions and events of one
+        ``CpuCore.prefetch`` per prefetch and one per-packet program
+        charge per row, in that order.
+
+        Each cache line spanned counts as one load/store; the TLB is
+        consulted once per page touched.  An op's cost is summed from
+        ``0.0`` over its lines and then added to the running totals.  An
+        op on one line (nearly all of them) takes no loop: that subtotal
+        is the line's one cycle cost, or its walk ns plus its LLC/DRAM
+        ns, since ``0.0 + x`` is exactly ``x``.
 
         Most lines hit in L1, so the L1 check is made here; a miss takes
         the full walk in :meth:`CacheHierarchy.lookup`, whose own L1 check
@@ -83,105 +139,176 @@ class MemorySystem:
         line is the one this core's previous demand access ended on
         (``hierarchy.last_line[core]``) is charged as the L1 hit it is:
         that line is the MRU of its L1 set and its page is the TLB's last
-        page, so the full walk would move nothing.
+        page, so the full walk would move nothing.  A prefetch clears
+        that memo, as every ``lookup`` does.  A page in the DTLB is
+        promoted here; :meth:`Tlb.access` is called only on a DTLB miss.
+
+        A raise (a ``None`` base) in row ``k`` leaves rows before ``k``
+        fully charged, and row ``k`` with the prefetches issued before the
+        raise and, once they are all issued, its compute charge, but none
+        of its memory ops' costs.  The memo, the TLB's last page and
+        ``dtlb_walks`` stand as the lines walked so far left them.
         """
+        core = cpu.core_id
         params = self.params
         h = self.counters[core].handles
         l1_hits = h.l1_hits
         tlb = self.tlbs[core]
+        dtlb = tlb._dtlb
+        last_page = tlb.last_page
         hierarchy = self.hierarchy
+        memo = hierarchy.last_line[core]
         l1 = hierarchy.l1[core]
         l1_sets = l1._sets
         n_sets = l1.n_sets
         line = params.cache_line
         page_size = params.page_size
         l1_hit_cycles = params.l1_hit_cycles
-        memo = hierarchy.last_line[core]
+        compute = instructions / cpu.params.issue_ipc
+        if miss:
+            miss_cycles = cpu.params.branch_miss_cycles * miss
+            miss_count = round(miss)
+            branch_misses = h.branch_misses
+        if prefetch:
+            lookup = hierarchy.lookup
+            prefetch_cycles = 1 / cpu.params.issue_ipc
+            prefetch_llc_ns = params.llc_hit_ns / params.prefetch_mlp
+            prefetch_dram_ns = params.dram_ns / params.prefetch_mlp
+        done = cpu.instructions
+        cycles = cpu.core_cycles
+        ns = cpu.uncore_ns
         try:
-            for target, offset, size, _write in ops:
-                addr = bases[target] + offset
-                first_line = addr // line
-                last_line = (addr + size - 1) // line
-                if first_line == last_line:
-                    if first_line == memo:
-                        l1_hits.value += 1
-                        cycles += l1_hit_cycles
+            for bases in rows:
+                if prefetch:
+                    for target, size, skip_zero in prefetch:
+                        addr = bases[target]
+                        if skip_zero and not addr:
+                            continue
+                        fetch_ns = 0.0
+                        for line_addr in range(addr // line,
+                                               (addr + size - 1) // line + 1):
+                            level = lookup(core, line_addr)
+                            memo = None
+                            if level == LLC:
+                                fetch_ns += prefetch_llc_ns
+                            elif level == DRAM:
+                                fetch_ns += prefetch_dram_ns
+                        done += 1
+                        cycles += prefetch_cycles
+                        ns += fetch_ns
+                done += instructions
+                cycles += compute
+                if miss:
+                    cycles += miss_cycles
+                    branch_misses.value += miss_count
+                # The walk runs on copies, which become the totals only
+                # when every op of the row is charged.
+                walk_cycles = cycles
+                walk_ns = ns
+                for target, offset, size, _write in ops:
+                    addr = bases[target] + offset
+                    first_line = addr // line
+                    last_line = (addr + size - 1) // line
+                    if first_line == last_line:
+                        if first_line == memo:
+                            l1_hits.value += 1
+                            walk_cycles += l1_hit_cycles
+                            continue
+                        memo = first_line
+                        byte = first_line * line
+                        if byte >= DMA_BASE:
+                            page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+                        else:
+                            page = byte // page_size
+                        # A TLB walk's ns is added to the line's LLC/DRAM
+                        # ns first, as the op's subtotal would be.
+                        tlb_ns = 0.0
+                        if page != last_page:
+                            if dtlb.pop(page, False):
+                                dtlb[page] = True
+                            else:
+                                tlb_ns = tlb.access(page)
+                            last_page = page
+                        cset = l1_sets[first_line % n_sets]
+                        flag = cset.pop(first_line, None)
+                        if flag is not None:
+                            cset[first_line] = flag
+                            l1_hits.value += 1
+                            walk_cycles += l1_hit_cycles
+                            walk_ns += tlb_ns
+                            continue
+                        level = hierarchy.lookup(core, first_line)
+                        if level == L2:
+                            h.l2_hits.value += 1
+                            walk_cycles += params.l2_hit_cycles
+                            walk_ns += tlb_ns
+                        elif level == LLC:
+                            h.llc_loads.value += 1
+                            h.llc_hits.value += 1
+                            walk_ns += tlb_ns + params.llc_hit_ns / params.mlp
+                        else:
+                            h.llc_loads.value += 1
+                            h.llc_misses.value += 1
+                            walk_ns += tlb_ns + params.dram_ns / params.mlp
                         continue
-                    memo = first_line
-                    byte = first_line * line
-                    if byte >= DMA_BASE:
-                        page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
-                    else:
-                        page = byte // page_size
-                    # A TLB walk's ns is added to the line's LLC/DRAM ns
-                    # first, as the op's subtotal would be.
-                    if page == tlb.last_page:
-                        walk_ns = 0.0
-                    else:
-                        walk_ns = tlb.access(page)
-                    cset = l1_sets[first_line % n_sets]
-                    flag = cset.pop(first_line, None)
-                    if flag is not None:
-                        cset[first_line] = flag
-                        l1_hits.value += 1
-                        cycles += l1_hit_cycles
-                        ns += walk_ns
-                        continue
-                    level = hierarchy.lookup(core, first_line)
-                    if level == L2:
-                        h.l2_hits.value += 1
-                        cycles += params.l2_hit_cycles
-                        ns += walk_ns
-                    elif level == LLC:
-                        h.llc_loads.value += 1
-                        h.llc_hits.value += 1
-                        ns += walk_ns + params.llc_hit_ns / params.mlp
-                    else:
-                        h.llc_loads.value += 1
-                        h.llc_misses.value += 1
-                        ns += walk_ns + params.dram_ns / params.mlp
-                    continue
-                if last_line < first_line:
-                    continue  # no line touched (size <= 0): the memo stands
-                op_cycles = 0.0
-                op_ns = 0.0
-                for line_addr in range(first_line, last_line + 1):
-                    byte = line_addr * line
-                    if byte >= DMA_BASE:
-                        # The DPDK DMA region is hugepage-backed (2 MB pages).
-                        page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
-                    else:
-                        page = byte // page_size
-                    if page != tlb.last_page:
-                        op_ns += tlb.access(page)
-                    cset = l1_sets[line_addr % n_sets]
-                    flag = cset.pop(line_addr, None)
-                    if flag is not None:
-                        cset[line_addr] = flag
-                        l1_hits.value += 1
-                        op_cycles += l1_hit_cycles
-                        continue
-                    level = hierarchy.lookup(core, line_addr)
-                    if level == L2:
-                        h.l2_hits.value += 1
-                        op_cycles += params.l2_hit_cycles
-                    elif level == LLC:
-                        h.llc_loads.value += 1
-                        h.llc_hits.value += 1
-                        op_ns += params.llc_hit_ns / params.mlp
-                    else:
-                        h.llc_loads.value += 1
-                        h.llc_misses.value += 1
-                        op_ns += params.dram_ns / params.mlp
-                cycles += op_cycles
-                ns += op_ns
-                memo = last_line
+                    if last_line < first_line:
+                        continue  # no line touched (size <= 0): the memo stands
+                    op_cycles = 0.0
+                    op_ns = 0.0
+                    for line_addr in range(first_line, last_line + 1):
+                        byte = line_addr * line
+                        if byte >= DMA_BASE:
+                            # The DPDK DMA region is hugepage-backed (2 MB pages).
+                            page = (1 << 40) + (byte - DMA_BASE) // HUGE_PAGE_SIZE
+                        else:
+                            page = byte // page_size
+                        if page != last_page:
+                            if dtlb.pop(page, False):
+                                dtlb[page] = True
+                            else:
+                                op_ns += tlb.access(page)
+                            last_page = page
+                        cset = l1_sets[line_addr % n_sets]
+                        flag = cset.pop(line_addr, None)
+                        if flag is not None:
+                            cset[line_addr] = flag
+                            l1_hits.value += 1
+                            op_cycles += l1_hit_cycles
+                            continue
+                        level = hierarchy.lookup(core, line_addr)
+                        if level == L2:
+                            h.l2_hits.value += 1
+                            op_cycles += params.l2_hit_cycles
+                        elif level == LLC:
+                            h.llc_loads.value += 1
+                            h.llc_hits.value += 1
+                            op_ns += params.llc_hit_ns / params.mlp
+                        else:
+                            h.llc_loads.value += 1
+                            h.llc_misses.value += 1
+                            op_ns += params.dram_ns / params.mlp
+                    walk_cycles += op_cycles
+                    walk_ns += op_ns
+                    memo = last_line
+                cycles = walk_cycles
+                ns = walk_ns
+                if random_ops:
+                    for footprint, count in random_ops:
+                        for _ in range(count):
+                            op_cycles, op_ns = self.analytic_access(core,
+                                                                    footprint)
+                            cycles += op_cycles
+                            ns += op_ns
         finally:
-            # Also on a raise (a bad base): the memo and the walk count
-            # then stand as the ops charged so far left them.
+            # Also on a raise: the totals then hold every charge made
+            # before the raising row's walk, and the memo, the last page
+            # and the walk count stand as the lines walked left them.
+            cpu.instructions = done
+            cpu.core_cycles = cycles
+            cpu.uncore_ns = ns
             hierarchy.last_line[core] = memo
+            tlb.last_page = last_page
             h.dtlb_walks.value = tlb.walks
-        return cycles, ns
 
     # -- analytic capacity model -----------------------------------------------
 
@@ -211,13 +338,22 @@ class MemorySystem:
         return params.l1_hit_cycles, 0.0
 
     def analytic_access(self, core: int, footprint: int) -> Tuple[float, float]:
-        """One uniformly-random access into a ``footprint``-byte region."""
+        """One uniformly-random access into a ``footprint``-byte region.
+
+        Its hit odds per level depend on the footprint alone, so they are
+        computed on a footprint's first access and kept.
+        """
         params = self.params
         h = self.counters[core].handles
         u = self._rng.random()
-        p_l1 = min(1.0, self.l1_effective / footprint) if footprint else 1.0
-        p_l2 = min(1.0, self.l2_effective / footprint) if footprint else 1.0
-        p_llc = min(1.0, self.llc_effective / footprint) if footprint else 1.0
+        odds = self._hit_odds.get(footprint)
+        if odds is None:
+            odds = self._hit_odds[footprint] = (
+                min(1.0, self.l1_effective / footprint) if footprint else 1.0,
+                min(1.0, self.l2_effective / footprint) if footprint else 1.0,
+                min(1.0, self.llc_effective / footprint) if footprint else 1.0,
+            )
+        p_l1, p_l2, p_llc = odds
         if u < p_l1:
             h.l1_hits.value += 1
             return params.l1_hit_cycles, 0.0
@@ -237,7 +373,8 @@ class MemorySystem:
         Returns the (deeply overlapped) exposed latency in ns.  Prefetches
         are not demand loads, so no LLC-load/miss events are counted --
         matching what ``perf`` sees when the MLX5 RX loop prefetches the
-        packet data before the application touches it.
+        packet data before the application touches it.  The PMD's
+        prefetches are charged in :meth:`charge` at the same prices.
         """
         params = self.params
         line = params.cache_line

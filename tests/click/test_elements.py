@@ -284,6 +284,24 @@ class TestMiscElements:
         assert element.processed == 1
         assert element.footprint_bytes == 1024 * 1024
 
+    def test_workpackage_prng_state_after_n_packets(self):
+        """N packets step the PRNG N * W times, as the xorshift64 below
+        (the element's state update, one step per call) would."""
+        def xorshift(x):
+            x ^= (x << 13) & 0xFFFFFFFFFFFFFFFF
+            x ^= x >> 7
+            x ^= (x << 17) & 0xFFFFFFFFFFFFFFFF
+            return x
+
+        element = make_element(WorkPackage, "S 1, N 2, W 7")
+        expected = element._prng_state
+        for _ in range(5):
+            element.process(tcp_packet())
+        for _ in range(5 * 7):
+            expected = xorshift(expected)
+        assert element._prng_state == expected
+        assert element.processed == 5
+
     def test_workpackage_program_reflects_params(self):
         element = make_element(WorkPackage, "S 2, N 3, W 5")
         program = element.ir_program()

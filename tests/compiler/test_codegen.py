@@ -73,7 +73,7 @@ def test_generated_kernels_match_both_interpreters(program):
     reference = _states(program, lambda cpu: execute_interpreted(
         cpu, program, meta, mbuf, descriptor, data, state))
     tuples = _states(program, lambda cpu: execute_bases(
-        cpu, program, meta, mbuf, descriptor, data, state))
+        cpu, program, [(meta, mbuf, descriptor, data, state)]))
     generated = _states(program, lambda cpu: compiled.scalar(
         cpu, meta, mbuf, descriptor, data, state))
     assert reference == tuples == generated

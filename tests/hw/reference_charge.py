@@ -1,23 +1,30 @@
-"""A frozen copy of the per-program charge, before ``execute_bases`` made
-the CPU charge itself.
+"""A frozen copy of the per-packet charge, before ``execute_bases`` made
+the CPU charge itself and took a whole burst in one call.
 
 ``test_charge_equivalence`` charges the same programs through
 :func:`repro.compiler.runtime.execute_bases` and through :func:`charge`
-and requires bit-identical core totals, counters and model state.  Do not
-edit it to follow later changes to ``execute_bases``: it is the reference
-that function is held to.
+(or :func:`rx_charge`) once per packet, and requires bit-identical core
+totals, counters and model state.  Do not edit it to follow later changes
+to ``execute_bases``: it is the reference that function is held to.
 
 The sequence is ``CpuCore.charge_compute``, then
 ``CpuCore.charge_branch_miss`` (both written out, so a change to those
 methods cannot move the reference), one ``MemorySystem.access`` per
 memory row added to running totals that are stored on the core after the
-last row, then one ``analytic_access`` per random op, added to the core
-as it returns.
+last row, then one ``MemorySystem.analytic_access`` per random op
+(written out as :func:`analytic_access`), added to the core as it
+returns.
+
+:func:`rx_charge` is the PMD's per-packet receive sequence: four
+``CpuCore.prefetch`` calls (the CQE, the rte_mbuf unless its address is
+0, the metadata and the packet data), written out with
+``MemorySystem.prefetch`` as :func:`prefetch`, then :func:`charge`.
 """
 
 from __future__ import annotations
 
 from repro.compiler.runtime import TARGET_INDEX
+from repro.hw.cache import DRAM, LLC
 
 
 def charge(cpu, program, meta, mbuf, descriptor, data, state) -> None:
@@ -45,6 +52,55 @@ def charge(cpu, program, meta, mbuf, descriptor, data, state) -> None:
     cpu.uncore_ns = ns
     for footprint, count in program.random_ops:
         for _ in range(count):
-            op_cycles, op_ns = mem.analytic_access(core, footprint)
+            op_cycles, op_ns = analytic_access(mem, core, footprint)
             cpu.core_cycles += op_cycles
             cpu.uncore_ns += op_ns
+
+
+def analytic_access(mem, core, footprint):
+    # MemorySystem.analytic_access, computing the hit odds on every call
+    params = mem.params
+    h = mem.counters[core].handles
+    u = mem._rng.random()
+    p_l1 = min(1.0, mem.l1_effective / footprint) if footprint else 1.0
+    p_l2 = min(1.0, mem.l2_effective / footprint) if footprint else 1.0
+    p_llc = min(1.0, mem.llc_effective / footprint) if footprint else 1.0
+    if u < p_l1:
+        h.l1_hits.value += 1
+        return params.l1_hit_cycles, 0.0
+    if u < p_l2:
+        h.l2_hits.value += 1
+        return params.l2_hit_cycles, 0.0
+    h.llc_loads.value += 1
+    if u < p_llc:
+        h.llc_hits.value += 1
+        return 0.0, params.llc_hit_ns / params.random_access_mlp
+    h.llc_misses.value += 1
+    return 0.0, params.dram_ns / params.random_access_mlp
+
+
+def prefetch(cpu, addr, size) -> None:
+    # MemorySystem.prefetch
+    mem = cpu.mem
+    params = mem.params
+    line = params.cache_line
+    ns = 0.0
+    for line_addr in range(addr // line, (addr + size - 1) // line + 1):
+        level = mem.hierarchy.lookup(cpu.core_id, line_addr)
+        if level == LLC:
+            ns += params.llc_hit_ns / params.prefetch_mlp
+        elif level == DRAM:
+            ns += params.dram_ns / params.prefetch_mlp
+    # CpuCore.prefetch
+    cpu.instructions += 1
+    cpu.core_cycles += 1 / cpu.params.issue_ipc
+    cpu.uncore_ns += ns
+
+
+def rx_charge(cpu, program, meta, mbuf, descriptor, data, state) -> None:
+    prefetch(cpu, descriptor, 64)
+    if mbuf:
+        prefetch(cpu, mbuf, 128)
+    prefetch(cpu, meta, 128)
+    prefetch(cpu, data, 128)
+    charge(cpu, program, meta, mbuf, descriptor, data, state)
