@@ -10,11 +10,11 @@ packet:
    become findings, not tracebacks);
 2. graph lints (sources, reachability, ports, shadowed rules);
 3. IR verification of each element program, then the compile step with
-   the verifier re-run after every pass the options enable (so a pass
-   bug names its pass);
+   the verifier re-run after every pass the options enable, the PMD's
+   RX/TX passes included (so a pass bug names its pass);
 4. metadata reordering cross-check against the pre-reorder ``Packet``
    layout, when the options request the pass;
-5. verification of every lowered program;
+5. verification of every lowered program, the PMD's included;
 6. PMD RX/TX program verification and pool-balance pairing;
 7. path-sensitive constant propagation per output port
    (``constant-branch``, ``redundant-check``);
@@ -90,7 +90,6 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
                   qos=None, profile=None) -> AnalysisReport:
     """Analyze an already-instantiated graph under the given options."""
     from repro.analyze.qos import lint_qos
-    from repro.compiler.lower import lower
     from repro.compiler.pipeline import PassManager, compile_graph
     from repro.dpdk.metadata import make_model
 
@@ -171,13 +170,7 @@ def analyze_graph(graph, options, report: Optional[AnalysisReport] = None,
             compiled.exec_programs[element.name], compiled.registry,
             state_size=max(64, element.state_size),
         ))
-    for program in (rx_program, tx_program):
-        try:
-            exec_program = lower(program, compiled.registry)
-        except (KeyError, TypeError, ValueError) as exc:
-            report.add(Finding(
-                "exec-lowering-failed", ERROR, program.name, str(exc)))
-            continue
+    for exec_program in compiled.pmd_programs:
         report.extend(verify_exec_program(exec_program, compiled.registry))
     return report
 

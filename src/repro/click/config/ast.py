@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 @dataclass
@@ -74,19 +74,3 @@ class ConfigAst:
 
     def declaration(self, name: str) -> Declaration:
         return self.declarations[name]
-
-    def outputs_of(self, name: str) -> List[Tuple[int, str, int]]:
-        """(src_port, dst, dst_port) triples leaving ``name``."""
-        return [
-            (c.src_port, c.dst, c.dst_port)
-            for c in self.connections
-            if c.src == name
-        ]
-
-    def inputs_of(self, name: str) -> List[Tuple[str, int, int]]:
-        """(src, src_port, dst_port) triples entering ``name``."""
-        return [
-            (c.src, c.src_port, c.dst_port)
-            for c in self.connections
-            if c.dst == name
-        ]

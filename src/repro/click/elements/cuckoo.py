@@ -94,15 +94,6 @@ class CuckooHashTable:
             bucket = self._alt_bucket(key, bucket)
         raise CuckooFullError("cuckoo displacement budget exhausted")
 
-    def delete(self, key) -> bool:
-        i = self._find(key)
-        if i < 0:
-            return False
-        self._keys[i] = None
-        self._values[i] = None
-        self.entries -= 1
-        return True
-
     def items(self) -> Iterator[Tuple[Any, Any]]:
         values = self._values
         for i, key in enumerate(self._keys):
@@ -112,9 +103,6 @@ class CuckooHashTable:
     @property
     def capacity(self) -> int:
         return self.n_buckets * BUCKET_SLOTS
-
-    def load_factor(self) -> float:
-        return self.entries / self.capacity
 
     def footprint_bytes(self) -> int:
         return self.n_buckets * BUCKET_SLOTS * SLOT_BYTES

@@ -64,17 +64,6 @@ class ExecProgram:
     pool_gets: int = 0
     pool_puts: int = 0
 
-    def memory_footprint_lines(self, target: str, line_size: int = 64) -> int:
-        """Distinct lines this program touches in one target region."""
-        lines = set()
-        for op in self.mem_ops:
-            if op.target != target:
-                continue
-            lines.update(
-                range(op.offset // line_size, (op.offset + op.size - 1) // line_size + 1)
-            )
-        return len(lines)
-
 
 def lower(program: Program, registry: LayoutRegistry) -> ExecProgram:
     """Resolve one IR program against the active layouts."""

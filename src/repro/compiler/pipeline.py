@@ -8,13 +8,15 @@ and tests show *what the mill actually did* to each element.
 :func:`compile_graph` is the compile half of the paper's Fig. 3 pipeline
 (layouts, element passes, whole-program reordering, lowering), the one
 copy that :class:`~repro.core.packetmill.PacketMill` and
-:func:`~repro.analyze.analyze_graph` both call.
+:func:`~repro.analyze.analyze_graph` both call.  :func:`compile_pmd`
+compiles the driver's RX/TX programs in the same step: with LTO the
+X-Change conversion calls are compiled together with the elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.compiler.ir import Compute, Program
 from repro.compiler.lower import ExecProgram, lower
@@ -25,6 +27,7 @@ from repro.compiler.passes import (
     inline_calls,
     profile_guided,
     reorder_metadata,
+    vectorize,
 )
 from repro.compiler.structlayout import LayoutRegistry
 
@@ -96,9 +99,6 @@ class PassManager:
             )
         return program
 
-    def run_all(self, programs: Sequence[Program]) -> List[Program]:
-        return [self.run(program) for program in programs]
-
     # -- reporting ----------------------------------------------------------------
 
     def report(self, only_changed: bool = True) -> str:
@@ -114,13 +114,10 @@ class PassManager:
             )
         return "\n".join(lines)
 
-    def total_removed_ops(self) -> int:
-        return sum(record.removed_ops for record in self.records)
-
     @classmethod
     def from_options(cls, options) -> "PassManager":
         """The element pipeline PacketMill runs for the given build options
-        (the PMD applies its own passes, see :class:`~repro.dpdk.pmd.MlxPmd`)."""
+        (the PMD's RX/TX programs get theirs from :func:`compile_pmd`)."""
         manager = cls()
         if options.devirtualize or options.static_graph:
             manager.add("devirtualize", devirtualize)
@@ -143,6 +140,8 @@ class CompiledGraph(NamedTuple):
     element_ir: Dict[str, Program]
     #: Each element's program lowered against ``registry``.
     exec_programs: Dict[str, ExecProgram]
+    #: The PMD's ``(rx, tx)`` programs after :func:`compile_pmd`.
+    pmd_programs: Tuple[ExecProgram, ExecProgram]
 
 
 def compile_graph(graph, model, options,
@@ -151,8 +150,9 @@ def compile_graph(graph, model, options,
 
     Registers the model's layouts, runs ``pass_manager`` over each
     element's program, reorders ``Packet`` by the whole program's access
-    counts (elements plus the PMD's RX/TX programs) when the options ask
-    for it, and lowers each element against the resulting layouts.
+    counts (elements plus the PMD's raw RX/TX programs) when the options
+    ask for it, and lowers each element and the PMD's programs against the
+    resulting layouts.
     """
     registry = LayoutRegistry()
     model.register_layouts(registry)
@@ -167,4 +167,29 @@ def compile_graph(graph, model, options,
     exec_programs = {
         name: lower(program, registry) for name, program in element_ir.items()
     }
-    return CompiledGraph(registry, element_ir, exec_programs)
+    return CompiledGraph(registry, element_ir, exec_programs,
+                         compile_pmd(model, options, registry, pass_manager))
+
+
+def compile_pmd(model, options, registry: LayoutRegistry,
+                pass_manager: PassManager) -> Tuple[ExecProgram, ExecProgram]:
+    """The ``(rx, tx)`` programs the PMD runs under ``model`` and ``options``.
+
+    The driver gets none of the element passes: ``inline`` under LTO
+    only (a static graph inlines elements, not the PMD), ``vectorize``
+    under ``vectorized_pmd`` and ``pgo`` under PGO, in that order.  The
+    passes run under ``pass_manager``'s verifier, their records are
+    appended to ``pass_manager``'s, and both programs are lowered against
+    ``registry`` (the build's final layouts).
+    """
+    passes = PassManager(verifier=pass_manager.verifier)
+    if options.lto:
+        passes.add("inline", inline_calls)
+    if options.vectorized_pmd:
+        passes.add("vectorize", vectorize)
+    if options.pgo:
+        passes.add("pgo", profile_guided)
+    rx_exec = lower(passes.run(model.rx_program()), registry)
+    tx_exec = lower(passes.run(model.tx_program()), registry)
+    pass_manager.records.extend(passes.records)
+    return rx_exec, tx_exec

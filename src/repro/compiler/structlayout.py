@@ -74,19 +74,6 @@ class StructLayout:
     def cache_line_of(self, field_name: str, line_size: int = 64) -> int:
         return self.offset_of(field_name) // line_size
 
-    def cache_lines(self, line_size: int = 64) -> int:
-        """Total cache lines the struct spans."""
-        return (self.size + line_size - 1) // line_size
-
-    def lines_touched(self, field_names: Iterable[str], line_size: int = 64) -> int:
-        """Distinct cache lines covered by accessing the given fields."""
-        lines = set()
-        for name in field_names:
-            start = self.offset_of(name)
-            end = start + self.field(name).size - 1
-            lines.update(range(start // line_size, end // line_size + 1))
-        return len(lines)
-
     def reordered(self, access_counts: Mapping[str, int],
                   name_suffix: str = "@reordered") -> "StructLayout":
         """The paper's LLVM pass: sort fields by descending access count.

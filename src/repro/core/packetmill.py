@@ -245,17 +245,19 @@ class PacketMill:
 
         # -- compile: passes, reordering, lowering ------------------------------
         # A pure function of (config, options, params sans frequency); the
-        # registry, lowered programs and pass records are immutable once
-        # built, so replica builds and sweep siblings share them.
+        # registry, lowered element and PMD programs and pass records are
+        # immutable once built, so replica builds, their PMDs and sweep
+        # siblings share them.
         pass_manager = PassManager.from_options(options)
         cached = exec_cache.lookup_build(self.config, options, params)
         if cached is None:
-            registry, _, exec_programs = compile_graph(
+            registry, _, exec_programs, pmd_programs = compile_graph(
                 graph, model, options, pass_manager)
             exec_cache.store_build(self.config, options, params, registry,
-                                   exec_programs, tuple(pass_manager.records))
+                                   exec_programs, pmd_programs,
+                                   tuple(pass_manager.records))
         else:
-            registry, exec_programs, records = cached
+            registry, exec_programs, pmd_programs, records = cached
             pass_manager.records = list(records)
 
         # -- NICs and PMDs (one queue per port on this core; `ports` was
@@ -278,12 +280,7 @@ class PacketMill:
                       name="nic%d_c%d" % (port, core_id), port=port,
                       registry=telemetry.registry)
             nic.faults = injector
-            pmds[port] = MlxPmd(
-                nic, model, cpu, registry,
-                lto=options.lto,
-                vectorized=options.vectorized_pmd,
-                pgo=options.pgo,
-            )
+            pmds[port] = MlxPmd(nic, model, cpu, pmd_programs)
 
         # -- QoS buffer pools (absent unless a config was given) ---------------
         qos_ports: Dict[int, QosPort] = {}

@@ -26,7 +26,7 @@ from repro.dpdk.metadata import (
 )
 from repro.dpdk.nic import Nic
 from repro.dpdk.pcie import PcieModel
-from repro.dpdk.pmd import MlxPmd, build_pmd
+from repro.dpdk.pmd import MlxPmd
 from repro.dpdk.ring import DescriptorRing
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "MetadataModel",
     "OverlayingModel",
     "XChangeModel",
-    "build_pmd",
     "make_model",
     "MBUF_DATA_ROOM",
     "MBUF_HEADROOM",

@@ -114,14 +114,3 @@ class Mempool:
         self.puts += 1
         if cpu is not None:
             cpu.mem_access(self.freelist_head_addr(), 8, write=True, instructions=0.0)
-
-    def bulk_get(self, count: int, cpu=None) -> Optional[List[BufferRef]]:
-        """Get ``count`` mbufs or none at all (DPDK bulk semantics).
-
-        A refused bulk counts one ``empty_gets`` event, so bulk and
-        single-buffer callers share the same degradation ledger.
-        """
-        if len(self._free) < count:
-            self.empty_gets += 1
-            return None
-        return [self.get(cpu) for _ in range(count)]

@@ -3,19 +3,18 @@
 ``rx_burst``/``tx_burst`` mirror DPDK's PMD entry points: poll the
 completion queue, run the metadata model's per-packet conversion program,
 and keep the RX ring replenished / the TX ring reaped.  All driver-side
-work is charged through the lowered IR programs, so enabling LTO (which
-inlines X-Change's conversion calls) changes the driver's cost exactly as
-recompiling DPDK with ``-flto`` does.
+work is charged through the lowered IR programs the build's compile step
+produced (:func:`repro.compiler.pipeline.compile_pmd`), so enabling LTO
+(which inlines X-Change's conversion calls) changes the driver's cost
+exactly as recompiling DPDK with ``-flto`` does.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.compiler.lower import ExecProgram, lower
-from repro.compiler.passes import inline_calls, profile_guided, vectorize
+from repro.compiler.lower import ExecProgram
 from repro.compiler.runtime import execute_bases
-from repro.compiler.structlayout import LayoutRegistry
 from repro.dpdk.metadata import MetadataModel
 from repro.dpdk.nic import Nic
 from repro.net.packet import Packet
@@ -43,29 +42,14 @@ class MlxPmd:
         nic: Nic,
         model: MetadataModel,
         cpu,
-        registry: LayoutRegistry,
-        lto: bool = False,
-        vectorized: bool = False,
-        pgo: bool = False,
+        programs: Tuple[ExecProgram, ExecProgram],
     ):
+        """``programs`` is the lowered ``(rx, tx)`` pair for ``model``,
+        from :func:`repro.compiler.pipeline.compile_pmd`."""
         self.nic = nic
         self.model = model
         self.cpu = cpu
-        self.lto = lto
-        self.vectorized = vectorized
-        rx_ir = model.rx_program()
-        tx_ir = model.tx_program()
-        if lto:
-            rx_ir = inline_calls(rx_ir)
-            tx_ir = inline_calls(tx_ir)
-        if vectorized:
-            rx_ir = vectorize(rx_ir)
-            tx_ir = vectorize(tx_ir)
-        if pgo:
-            rx_ir = profile_guided(rx_ir)
-            tx_ir = profile_guided(tx_ir)
-        self.rx_exec: ExecProgram = lower(rx_ir, registry)
-        self.tx_exec: ExecProgram = lower(tx_ir, registry)
+        self.rx_exec, self.tx_exec = programs
         # Optional repro.telemetry.SpanRecorder; when bound, rx_burst
         # brackets its DMA and conversion stages as nested spans.
         self.spans = None
@@ -192,24 +176,3 @@ class MlxPmd:
         self.drain_tx()
         self._replenish_rx(self.cpu)
 
-
-def build_pmd(
-    nic: Nic,
-    model: MetadataModel,
-    cpu,
-    space,
-    params,
-    lto: bool = False,
-    registry: Optional[LayoutRegistry] = None,
-) -> Tuple[MlxPmd, LayoutRegistry]:
-    """Wire a model + NIC + core into a ready PMD.
-
-    Returns the PMD and the layout registry used (shared with the element
-    compiler so reordering passes see the same layouts).
-    """
-    if registry is None:
-        registry = LayoutRegistry()
-    model.setup(space, params)
-    model.register_layouts(registry)
-    pmd = MlxPmd(nic, model, cpu, registry, lto=lto)
-    return pmd, registry

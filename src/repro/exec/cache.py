@@ -14,8 +14,9 @@ Three layers, each bit-exact by construction:
   (:func:`repro.compiler.pipeline.compile_graph`: layout registration, IR
   passes, metadata reordering, lowering) is a pure function of ``(config
   text, BuildOptions, machine params sans frequency)``.  The resulting
-  :class:`LayoutRegistry`, ``{element: ExecProgram}`` map and pass
-  records are immutable after the build (the reorder pass *replaces*
+  :class:`LayoutRegistry`, ``{element: ExecProgram}`` map, the PMD's
+  ``(rx, tx)`` programs and the pass records are immutable after the
+  build (the reorder pass *replaces*
   registry entries, it never mutates a published layout, and nothing
   writes an ``ExecProgram`` after lowering), so they are shared across
   binaries; each binary's pass manager gets its own list of the records.
@@ -148,7 +149,7 @@ def trace_generator(kind: str, frame_len: Optional[int] = None, seed: int = 42):
 
 # -- build cache ---------------------------------------------------------------
 
-_build_cache: Dict[tuple, Tuple[object, Dict[str, object], tuple]] = {}
+_build_cache: Dict[tuple, Tuple[object, Dict[str, object], tuple, tuple]] = {}
 
 
 def _freeze(value):
@@ -171,8 +172,8 @@ def params_signature(params) -> tuple:
 
 
 def lookup_build(config: str, options, params):
-    """Cached ``(layout registry, exec programs, pass records)`` for a
-    build, if any."""
+    """Cached ``(layout registry, exec programs, PMD programs, pass
+    records)`` for a build, if any."""
     if not cache_enabled():
         return None
     artifacts = _build_cache.get((config, options, params_signature(params)))
@@ -184,11 +185,11 @@ def lookup_build(config: str, options, params):
 
 
 def store_build(config: str, options, params, registry, exec_programs,
-                records: tuple) -> None:
+                pmd_programs: tuple, records: tuple) -> None:
     if not cache_enabled():
         return
     _build_cache[(config, options, params_signature(params))] = (
-        registry, exec_programs, records,
+        registry, exec_programs, pmd_programs, records,
     )
 
 

@@ -122,6 +122,7 @@ def xchg_meta_buffers(scale: Scale = QUICK) -> AblationResult:
     from repro.dpdk.metadata import XChangeModel
     from repro.dpdk.nic import Nic
     from repro.dpdk.pmd import MlxPmd
+    from repro.compiler.pipeline import PassManager, compile_pmd
     from repro.compiler.structlayout import LayoutRegistry
     from repro.hw.cpu import CpuCore
     from repro.hw.layout import AddressSpace
@@ -139,7 +140,9 @@ def xchg_meta_buffers(scale: Scale = QUICK) -> AblationResult:
         model.register_layouts(registry)
         nic = Nic(params, mem, space,
                   exec_cache.trace_from_spec("fixed", FRAME, TraceSpec(seed=2)))
-        pmd = MlxPmd(nic, model, cpu, registry, lto=True)
+        pmd = MlxPmd(nic, model, cpu, compile_pmd(
+            model, BuildOptions.metadata(MetadataModel.XCHANGE), registry,
+            PassManager()))
         for _ in range(scale.warmup_batches):
             pmd.tx_burst(pmd.rx_burst(32))
         cpu.reset()

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from repro.compiler.ir import BranchHint, Compute, DataAccess, Program
 from repro.compiler.lower import lower
+from repro.compiler.pipeline import PassManager, compile_pmd
 from repro.compiler.structlayout import LayoutRegistry
 from repro.compiler.runtime import execute_bases
 from repro.core.binary import MeasuredRun
+from repro.core.options import BuildOptions, MetadataModel
 from repro.dpdk.metadata import OverlayingModel, XChangeModel
 from repro.dpdk.nic import Nic
 from repro.dpdk.pmd import MlxPmd
@@ -43,7 +45,7 @@ class L2fwdBinary:
     def __init__(self, params: MachineParams, model, frame_len: int,
                  seed: int = 0, burst: int = 32):
         self.params = params
-        self.options = None
+        self.options = BuildOptions.metadata(MetadataModel(model.name))
         self.mem = MemorySystem(params, n_cores=1, seed=seed)
         self.cpu = CpuCore(params, self.mem)
         self.space = AddressSpace(seed=seed)
@@ -53,7 +55,8 @@ class L2fwdBinary:
         model.register_layouts(self.registry)
         trace = FixedSizeTraceGenerator(frame_len, TraceSpec(seed=seed + 5))
         self.nic = Nic(params, self.mem, self.space, trace, name="l2fwd_nic")
-        self.pmd = MlxPmd(self.nic, model, self.cpu, self.registry, lto=True)
+        self.pmd = MlxPmd(self.nic, model, self.cpu, compile_pmd(
+            model, self.options, self.registry, PassManager()))
         self.pmds = {0: self.pmd}
         self.burst = burst
         self._app = lower(_app_program(), self.registry)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 STATIC_BASE = 0x0060_0000  # .data/.bss
 HEAP_BASE = 0x5555_5555_0000
 DMA_BASE = 0x7F00_0000_0000  # hugepage region DPDK maps for mbufs/rings
-STACK_BASE = 0x7FFF_FF00_0000
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class Region:
     name: str
     base: int
     size: int
-    kind: str  # "static" | "heap" | "dma" | "stack"
+    kind: str  # "static" | "heap" | "dma"
 
     @property
     def end(self) -> int:
@@ -57,11 +56,9 @@ class AddressSpace:
         ``offset`` shifts every segment base -- used to give per-core
         replicas disjoint addresses within the shared cache hierarchy."""
         self._rng = random.Random(seed)
-        self._static_base = STATIC_BASE + offset
         self._static_next = STATIC_BASE + offset
         self._heap_next = HEAP_BASE + offset
         self._dma_next = DMA_BASE + offset
-        self._stack_next = STACK_BASE + offset
         self.heap_fragmentation = heap_fragmentation
         self.regions = []
 
@@ -90,25 +87,7 @@ class AddressSpace:
         self._dma_next = base + size
         return self._record(name, base, size, "dma")
 
-    def alloc_stack(self, name: str, size: int, align: int = 16) -> Region:
-        base = _align_up(self._stack_next, align)
-        self._stack_next = base + size
-        return self._record(name, base, size, "stack")
-
     def _record(self, name: str, base: int, size: int, kind: str) -> Region:
         region = Region(name=name, base=base, size=size, kind=kind)
         self.regions.append(region)
         return region
-
-    def static_extent(self) -> int:
-        """Bytes spanned by the static segment so far."""
-        return self._static_next - self._static_base
-
-    def pages_spanned(self, regions, page_size: int = 4096) -> int:
-        """Distinct pages covered by the given regions."""
-        pages = set()
-        for region in regions:
-            first = region.base // page_size
-            last = (region.end - 1) // page_size
-            pages.update(range(first, last + 1))
-        return len(pages)

@@ -26,9 +26,9 @@ Layering: this module sits below ``repro.net.flows`` (which calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.net.steering import SteeringPolicy
 
@@ -158,39 +158,11 @@ class IndirectionTable:
             raise ValueError("queue %d out of range" % queue)
         self.entries[index % len(self.entries)] = queue
 
-    def retarget_batch(self, moves: Iterable[Tuple[int, int]]) -> int:
-        """Apply ``(index, queue)`` rewrites atomically.
-
-        Every move is validated before any entry changes, so a bad queue
-        id in the middle of a batch leaves the table untouched -- the
-        semantics of ``rte_eth_dev_rss_reta_update``, which takes the
-        whole table in one call.  Returns the number of entries written.
-        """
-        size = len(self.entries)
-        staged = [(index % size, queue) for index, queue in moves]
-        for _, queue in staged:
-            if not 0 <= queue < self.n_queues:
-                raise ValueError("queue %d out of range" % queue)
-        for index, queue in staged:
-            self.entries[index] = queue
-        return len(staged)
-
-    def buckets_for_queue(self, queue: int) -> List[int]:
-        """Indices of every entry currently steering to ``queue``."""
-        return [i for i, q in enumerate(self.entries) if q == queue]
-
     def spread(self) -> List[int]:
         """Per-queue entry counts (the table's static weight per queue)."""
         counts = [0] * self.n_queues
         for q in self.entries:
             counts[q] += 1
-        return counts
-
-    def histogram(self, hashes) -> List[int]:
-        """Per-queue counts for an iterable of hashes (distribution tests)."""
-        counts = [0] * self.n_queues
-        for h in hashes:
-            counts[self.queue_for(h)] += 1
         return counts
 
 

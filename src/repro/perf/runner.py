@@ -35,14 +35,6 @@ class ThroughputPoint:
         """Whether the measured run shed load to faults (vs being CPU-bound)."""
         return self.run.stats is not None and self.run.stats.fault_degraded
 
-    def health_report(self, label: str = "run") -> str:
-        """Render the healthy/fault-degraded verdict for this measurement."""
-        from repro.perf.report import format_report
-
-        if self.run.stats is None:
-            return "%s: healthy\n  bound by: %s" % (label, self.bound_by)
-        return format_report(self.run.stats, bound_by=self.bound_by, label=label)
-
     def counter_per_window(self, name: str, window_s: float = 0.1) -> float:
         """perf-style events per 100 ms at the achieved rate."""
         return self.run.counters[name] / self.run.packets * self.pps * window_s

@@ -140,13 +140,6 @@ class WindowSampler:
     def cumulative_series(self, name: str) -> List[Number]:
         return [w.cumulative.get(name, 0) for w in self.windows]
 
-    def paper_view(self, names: Sequence[str]) -> List[Dict[str, float]]:
-        """Per-window values normalized to events/100 ms (perf's view)."""
-        return [
-            {name: window.per_100ms(name) for name in names}
-            for window in self.windows
-        ]
-
     def format_table(self, names: Optional[Sequence[str]] = None,
                      normalize: bool = True) -> str:
         """A ``perf stat -I``-style table of the recorded windows."""

@@ -156,3 +156,32 @@ def test_attach_verifier_collect_mode_accumulates(registry):
     manager.run(Program("p", [Compute(5)]))
     assert rules(collected) == ["ir-unknown-field"]
     assert "bad-pass" in collected[0].location
+
+
+def test_analysis_verifies_the_pmd_programs_after_each_pass(monkeypatch):
+    """The analyzer's per-pass verifier sees the driver passes the PMD's
+    programs get in the compile step, not just the element passes."""
+    from repro.analyze import api
+    from repro.core import nfs
+    from repro.core.options import BuildOptions
+
+    seen = []
+    attach = api.attach_verifier
+
+    def spy(manager, registry, **kwargs):
+        attach(manager, registry, **kwargs)
+        verify = manager.verifier
+
+        def recording(program, pass_name):
+            seen.append((program.name, pass_name))
+            verify(program, pass_name)
+
+        manager.verifier = recording
+
+    monkeypatch.setattr(api, "attach_verifier", spy)
+    options = BuildOptions(lto=True, vectorized_pmd=True, pgo=True)
+    report = api.analyze_config(nfs.forwarder(), options)
+    assert not report.errors
+    for name in ("pmd_rx_copying", "pmd_tx_copying"):
+        assert [p for n, p in seen if n == name] == [
+            "inline", "vectorize", "pgo"]

@@ -94,17 +94,6 @@ class CuckooHashTable:
             bucket = self._alt_bucket(key, bucket)
         raise CuckooFullError("cuckoo displacement budget exhausted")
 
-    def delete(self, key) -> bool:
-        for bucket in (self._hash1(key), self._hash2(key)):
-            slots = self._keys[bucket]
-            for i in range(BUCKET_SLOTS):
-                if slots[i] == key:
-                    slots[i] = None
-                    self._values[bucket][i] = None
-                    self.entries -= 1
-                    return True
-        return False
-
     def items(self) -> Iterator[Tuple[Any, Any]]:
         for bucket in range(self.n_buckets):
             for i in range(BUCKET_SLOTS):

@@ -122,5 +122,7 @@ class TestParser:
         a :: Classifier(12/0800, -); b :: Discard; c :: Discard;
         a[0] -> b; a[1] -> c;
         """)
-        assert ast.outputs_of("a") == [(0, "b", 0), (1, "c", 0)]
-        assert ast.inputs_of("b") == [("a", 0, 0)]
+        assert [(c.src_port, c.dst, c.dst_port) for c in ast.connections
+                if c.src == "a"] == [(0, "b", 0), (1, "c", 0)]
+        assert [(c.src, c.src_port, c.dst_port) for c in ast.connections
+                if c.dst == "b"] == [("a", 0, 0)]

@@ -228,8 +228,14 @@ class TestLowering:
             ],
         )
         out = lower(program, registry())
-        assert out.memory_footprint_lines("packet_meta") == 1
-        assert out.memory_footprint_lines("data") == 1
+
+        def lines(target):
+            return {line for op in out.mem_ops if op.target == target
+                    for line in range(op.offset // 64,
+                                      (op.offset + op.size - 1) // 64 + 1)}
+
+        assert len(lines("packet_meta")) == 1
+        assert len(lines("data")) == 1
 
     def test_full_pipeline_cost_reduction(self):
         """All passes together must strictly reduce instructions and misses."""

@@ -54,15 +54,16 @@ class TestStructLayout:
 
     def test_cache_lines_total(self):
         layout = StructLayout("s", [Field("a", 100)], align=64)
-        assert layout.cache_lines() == 2
+        assert layout.size == 2 * 64
 
     def test_lines_touched(self):
         layout = StructLayout(
             "s", [Field("a", 8), Field("pad", 120, align=8), Field("b", 8)]
         )
-        assert layout.lines_touched(["a"]) == 1
-        assert layout.lines_touched(["a", "b"]) == 2
-        assert layout.lines_touched(["pad"]) == 2  # straddles
+        assert layout.offset_of("a") // 64 == 0
+        assert layout.offset_of("b") // 64 == 2
+        pad = layout.offset_of("pad")
+        assert (pad // 64, (pad + 120 - 1) // 64) == (0, 1)  # straddles
 
     def test_has_field(self):
         assert sample_layout().has_field("data")
@@ -88,12 +89,11 @@ class TestReordering:
         fields += [Field("cold%d" % i, 8) for i in range(8, 16)]
         fields.append(Field("hot_b", 8))
         layout = StructLayout("meta", fields)
-        before = layout.lines_touched(["hot_a", "hot_b"])
-        after = layout.reordered({"hot_a": 9, "hot_b": 7}).lines_touched(
-            ["hot_a", "hot_b"]
-        )
-        assert before == 2
-        assert after == 1
+        hot = layout.reordered({"hot_a": 9, "hot_b": 7})
+        before = {layout.offset_of(name) // 64 for name in ("hot_a", "hot_b")}
+        after = {hot.offset_of(name) // 64 for name in ("hot_a", "hot_b")}
+        assert len(before) == 2
+        assert len(after) == 1
 
     def test_reordering_preserves_field_set_and_size_bound(self):
         layout = sample_layout()

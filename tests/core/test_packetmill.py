@@ -120,7 +120,8 @@ class TestReordering:
         layout = reordered.packet_layout()
         # The RX-conversion-written fields end up in the first cache line.
         hot = ["length", "data_ptr", "rss_anno", "vlan_anno"]
-        assert layout.lines_touched(hot) == 1
+        for name in hot:
+            assert layout.offset_of(name) + layout.field(name).size <= 64, name
 
     def test_reorder_reduces_meta_lines_touched(self):
         plain = mill(options=BuildOptions(lto=True)).build()

@@ -20,8 +20,7 @@ from repro.hw.params import MachineParams
 class TestMbufLayouts:
     def test_mbuf_spans_two_lines(self):
         layout = build_mbuf_layout()
-        assert layout.size == RTE_MBUF_SIZE
-        assert layout.cache_lines() == 2
+        assert layout.size == RTE_MBUF_SIZE == 2 * 64
 
     def test_rx_hot_fields_in_line0(self):
         layout = build_mbuf_layout()
@@ -35,11 +34,10 @@ class TestMbufLayouts:
 
     def test_cqe_fits_one_line(self):
         layout = build_cqe_layout()
-        assert layout.size == CQE_SIZE
-        assert layout.cache_lines() == 1
+        assert layout.size == CQE_SIZE <= 64
 
     def test_tx_descriptor_fits_one_line(self):
-        assert build_tx_descriptor_layout().cache_lines() == 1
+        assert build_tx_descriptor_layout().size <= 64
 
 
 class TestMempool:
@@ -87,13 +85,6 @@ class TestMempool:
         pool = self._pool(n=2)
         with pytest.raises(IndexError):
             pool.put(BufferRef(index=99, mbuf_addr=0, data_addr=0))
-
-    def test_bulk_get_all_or_nothing(self):
-        pool = self._pool(n=4)
-        assert pool.bulk_get(5) is None
-        refs = pool.bulk_get(4)
-        assert len(refs) == 4
-        assert pool.available == 0
 
     def test_stats(self):
         pool = self._pool(n=4)

@@ -1,17 +1,25 @@
-"""Pinned SHA-256 digests of every experiment's SMOKE payload.
+"""Pinned SHA-256 digests of every experiment's SMOKE and QUICK payloads.
 
-``digests.json`` (next to this file) maps each experiment of
-:data:`repro.experiments.report.MODULES` to the SHA-256 of its
-``run(SMOKE).to_json()``; the ablations are pinned one by one, as
+``digests.json`` (next to this file) holds one section per scale,
+``{"smoke": {...}, "quick": {...}}``.  Each section maps every experiment
+of :data:`repro.experiments.report.MODULES` to the SHA-256 of its
+``run(scale).to_json()``; the ablations are pinned one by one, as
 ``ablations.<name>``.  A change that moves any simulated number fails
 the comparison, even one that moves serial and parallel runs alike.
+QUICK reaches regimes SMOKE does not (VPP's 256-packet bursts over 240
+batches, fig07's and fig09's footprint grid, fig06's seven frame sizes),
+and its payloads are the numbers EXPERIMENTS.md quotes.
 
-Check a report run against the pinned file::
+Check a report run against the pinned section for its scale (the
+report's ``scale`` field picks it)::
 
     PYTHONPATH=src python -m repro.experiments.report --scale smoke --json smoke.json
     PYTHONPATH=src python -m tests.experiments.digests smoke.json
+    REPRO_JOBS=2 PYTHONPATH=src python -m repro.experiments.report --scale quick --json quick.json
+    PYTHONPATH=src python -m tests.experiments.digests quick.json
 
-Regenerate it (and add a CHANGES.md line saying why the numbers moved)::
+Regenerate one section (and add a CHANGES.md line saying why the numbers
+moved)::
 
     PYTHONPATH=src python -m repro.experiments.report --scale smoke --json smoke.json --out /dev/null && PYTHONPATH=src python -m tests.experiments.digests smoke.json --update
 """
@@ -25,8 +33,10 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-#: The pinned ``{key: sha256}`` file.
+#: The pinned ``{scale: {key: sha256}}`` file.
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
+#: The scales with a pinned section.
+SCALES = ("smoke", "quick")
 
 
 def sha256(document) -> str:
@@ -43,38 +53,45 @@ def payload_digests(name: str, document) -> Dict[str, str]:
     return {name: sha256(document)}
 
 
-def load() -> Dict[str, str]:
-    return json.loads(DIGESTS_PATH.read_text())
+def load(scale: str = "smoke") -> Dict[str, str]:
+    """The pinned ``{key: sha256}`` section of one scale."""
+    return json.loads(DIGESTS_PATH.read_text())[scale]
 
 
-def report_digests(path: str) -> Dict[str, str]:
-    """The digests of every experiment in a ``report --json`` file."""
+def report_digests(path: str):
+    """``(scale, {key: sha256})`` of every experiment in a ``report
+    --json`` file."""
     document = json.loads(Path(path).read_text())
-    if document["scale"] != "smoke":
-        raise SystemExit("%s: scale is %r; the digests pin smoke"
-                         % (path, document["scale"]))
+    scale = document["scale"]
+    if scale not in SCALES:
+        raise SystemExit("%s: scale is %r; the digests pin %s"
+                         % (path, scale, " and ".join(SCALES)))
     out: Dict[str, str] = {}
     for record in document["experiments"]:
         out.update(payload_digests(record["name"], record["result"]))
-    return out
+    return scale, out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.experiments.digests",
-        description="Compare a smoke-scale report --json file against "
-                    "the pinned payload digests.")
-    parser.add_argument("report", help="output of report --scale smoke --json")
+        description="Compare a report --json file against the payload "
+                    "digests pinned for its scale.")
+    parser.add_argument("report",
+                        help="output of report --scale smoke|quick --json")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite digests.json from the report instead")
+                        help="rewrite the report's scale section of "
+                             "digests.json from the report instead")
     args = parser.parse_args(argv)
-    found = report_digests(args.report)
+    scale, found = report_digests(args.report)
     if args.update:
-        DIGESTS_PATH.write_text(json.dumps(found, indent=2, sort_keys=True)
+        sections = json.loads(DIGESTS_PATH.read_text())
+        sections[scale] = found
+        DIGESTS_PATH.write_text(json.dumps(sections, indent=2, sort_keys=True)
                                 + "\n")
-        print("wrote %d digests to %s" % (len(found), DIGESTS_PATH))
+        print("wrote %d %s digests to %s" % (len(found), scale, DIGESTS_PATH))
         return 0
-    pinned = load()
+    pinned = load(scale)
     bad = sorted(key for key in found if found[key] != pinned.get(key))
     missing = sorted(set(pinned) - set(found))
     for key in bad:
@@ -84,7 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("MISSING %s: not in %s" % (key, args.report), file=sys.stderr)
     if bad or missing:
         return 1
-    print("%d payload digests match %s" % (len(found), DIGESTS_PATH.name))
+    print("%d %s payload digests match %s"
+          % (len(found), scale, DIGESTS_PATH.name))
     return 0
 
 

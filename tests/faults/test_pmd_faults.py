@@ -1,8 +1,11 @@
 """Tests for the PMD's degraded paths: rx_nombuf, rx_errors, tx_full."""
 
+from repro.compiler.pipeline import PassManager, compile_pmd
+from repro.compiler.structlayout import LayoutRegistry
+from repro.core.options import BuildOptions
 from repro.dpdk.metadata import make_model
 from repro.dpdk.nic import Nic
-from repro.dpdk.pmd import build_pmd
+from repro.dpdk.pmd import MlxPmd
 from repro.faults import (
     CORRUPT,
     TX_BACKPRESSURE,
@@ -25,8 +28,12 @@ def make_rig(frame=128, rx_ring=64, tx_ring=None):
     trace = FixedSizeTraceGenerator(frame, TraceSpec(pool_size=128))
     nic = Nic(params, mem, space, trace)
     model = make_model("copying")
-    pmd, _ = build_pmd(nic, model, cpu, space, params, lto=False)
-    return pmd, nic, model
+    model.setup(space, params)
+    registry = LayoutRegistry()
+    model.register_layouts(registry)
+    programs = compile_pmd(model, BuildOptions.vanilla(), registry,
+                           PassManager())
+    return MlxPmd(nic, model, cpu, programs), nic, model
 
 
 def attach(nic, specs, seed=0):

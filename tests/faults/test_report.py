@@ -92,14 +92,16 @@ class TestThroughputPointHealth:
         healthy = measure_throughput(build_forwarder(),
                                      batches=60, warmup_batches=30)
         assert not healthy.fault_degraded
-        assert "healthy" in healthy.health_report()
-        assert "bound by:" in healthy.health_report()
+        report = format_report(healthy.run.stats, bound_by=healthy.bound_by)
+        assert "healthy" in report
+        assert "bound by:" in report
 
         schedule = FaultSchedule([FaultSpec(MBUF_EXHAUSTION)], seed=1)
         starved = measure_throughput(build_forwarder(faults=schedule),
                                      batches=60, warmup_batches=30)
         assert starved.fault_degraded
-        assert "fault-degraded" in starved.health_report()
+        assert "fault-degraded" in format_report(starved.run.stats,
+                                                 bound_by=starved.bound_by)
 
 
 class TestDeviceHandlers:

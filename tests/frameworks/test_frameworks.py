@@ -33,6 +33,17 @@ class TestL2fwd:
         assert len(app.model.conversions.targets) == 2
         assert app.model.name == "xchange"
 
+    def test_driver_compiled_in_the_compile_step_under_lto(self):
+        from repro.compiler.pipeline import PassManager, compile_pmd
+        from repro.core.options import BuildOptions, MetadataModel
+
+        app = l2fwd_xchg(PARAMS, 256)
+        assert app.options == BuildOptions.metadata(MetadataModel.XCHANGE)
+        manager = PassManager()
+        programs = compile_pmd(app.model, app.options, app.registry, manager)
+        assert (app.pmd.rx_exec, app.pmd.tx_exec) == programs
+        assert [r.pass_name for r in manager.records] == ["inline", "inline"]
+
     def test_l2fwd_xchg_faster(self):
         plain = rate(l2fwd)
         xchg = rate(l2fwd_xchg)

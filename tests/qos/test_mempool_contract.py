@@ -1,6 +1,6 @@
 """The unified empty-pool contract: exhaustion degrades through counters.
 
-Every allocation site -- single get, bulk get, RX replenish, clone --
+Every allocation site -- single get, RX replenish, clone --
 reports exhaustion on the same ledger (``empty_gets`` at the pool, then
 ``rx_nombuf`` / ``clone_alloc_failures`` at the caller) instead of
 letting an exception reach the hot path.
@@ -33,23 +33,6 @@ class TestEmptyPoolContract:
         with pytest.raises(MempoolEmptyError):
             p.get()
         assert p.empty_gets == 1  # raise and counter share one ledger
-
-    def test_bulk_get_is_all_or_nothing(self):
-        p = pool(n=4)
-        assert p.bulk_get(5) is None
-        assert p.empty_gets == 1
-        assert p.available == 4  # nothing partially consumed
-        refs = p.bulk_get(4)
-        assert len(refs) == 4
-        assert p.empty_gets == 1  # successful bulk charges nothing
-
-    def test_bulk_refusal_counts_one_event_like_single_get(self):
-        single, bulk = pool(n=1), pool(n=1)
-        single.get()
-        bulk.get()
-        assert single.try_get() is None
-        assert bulk.bulk_get(3) is None
-        assert single.empty_gets == bulk.empty_gets == 1
 
 
 class TestCongestedRunsStayOnContract:

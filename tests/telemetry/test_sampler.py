@@ -94,7 +94,7 @@ class TestNormalization:
         handle.value = 10
         sampler.observe(130.0)
         sampler.flush(150.0)
-        view = sampler.paper_view(["driver.rx_packets"])
+        view = [w.per_100ms("driver.rx_packets") for w in sampler.windows]
         assert len(view) == 2
         table = sampler.format_table(["driver.rx_packets"])
         assert "rx_packets" in table
