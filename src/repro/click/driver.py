@@ -320,9 +320,10 @@ class RouterDriver:
         attribution = self.attribution
         if attribution is not None:
             attribution.sync(DRIVER_BUCKET)
+        refs = []
         for pkt in packets:
             if pkt.mbuf is not None:
-                self._model.release(pkt.mbuf, self.cpu)
+                refs.append(pkt.mbuf)
                 pkt.mbuf = None
             ticket = pkt.qos_ticket
             if ticket is not None:
@@ -330,6 +331,8 @@ class RouterDriver:
                 # buffer charge (headroom-first reclaim).
                 pkt.qos_ticket = None
                 ticket[0].drain(ticket[1])
+        # One release for the batch: the QoS drains charge nothing.
+        self._model.release(refs, self.cpu)
         self.stats.record_drop(element_name, len(packets))
         if attribution is not None:
             attribution.sync("element." + element_name)

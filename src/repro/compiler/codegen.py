@@ -245,10 +245,10 @@ class _ShadowMem:
         return h * 0.25, h * 0.125
 
     def charge(self, cpu, instructions, miss, ops, random_ops, rows,
-               prefetch=()):
+               prefetch=(), dma_read=False):
         """``MemorySystem.charge``'s sequence over this stand-in's costs,
         for :func:`execute_bases` on a shadow core; no caller passes
-        prefetches."""
+        prefetches or DMA reads."""
         params = cpu.params
         for bases in rows:
             cpu.instructions += instructions

@@ -55,17 +55,20 @@ def compiled_ops(program: ExecProgram):
         return ops
 
 
-def execute_bases(cpu, program: ExecProgram, rows, prefetch=()) -> None:
+def execute_bases(cpu, program: ExecProgram, rows, prefetch=(),
+                  dma_read: bool = False) -> None:
     """Charge ``program`` once per row of base addresses, in one call.
 
     Each row is one packet's ``(meta, mbuf, descriptor, data, state)``
     bases.  The whole burst goes to the hardware model in one
     :meth:`~repro.hw.memory.MemorySystem.charge` call, which charges each
     row in order: the optional ``prefetch`` rows ``(base index, bytes,
-    skip a zero base)``, the program's compute and branch-miss charge, its
-    memory ops and its random ops.  That is the float sequence of one
-    ``CpuCore.prefetch`` per prefetch followed by
-    :func:`execute_interpreted` per packet, so the result is bit-identical.
+    skip a zero base)``, with ``dma_read`` the NIC's DMA read of the
+    frame's lines ``row[5]`` to ``row[6]`` (the PMD's transmits), the
+    program's compute and branch-miss charge, its memory ops and its
+    random ops.  That is the float sequence of one ``CpuCore.prefetch``
+    per prefetch, the frame's DMA read and :func:`execute_interpreted`
+    per packet, so the result is bit-identical.
 
     A row that raises (a ``None`` base) leaves the rows before it fully
     charged, and itself with its prefetches and compute charge but none of
@@ -76,7 +79,7 @@ def execute_bases(cpu, program: ExecProgram, rows, prefetch=()) -> None:
     except AttributeError:
         ops = compiled_ops(program)
     cpu.mem.charge(cpu, program.instructions, program.branch_miss_expect,
-                   ops, program.random_ops, rows, prefetch)
+                   ops, program.random_ops, rows, prefetch, dma_read)
 
 
 def execute_interpreted(cpu, program: ExecProgram, meta: int, mbuf: int,

@@ -121,22 +121,24 @@ class MetadataModel(abc.ABC):
     def rx_buffer(self, cpu) -> BufferRef:
         """Produce one empty buffer to post to the NIC RX ring."""
 
-    def try_rx_buffer(self, cpu) -> Optional[BufferRef]:
-        """Like :meth:`rx_buffer`, but None on exhaustion (hot-path
-        contract: callers degrade through ``rx_nombuf``, no try/except).
+    def try_rx_buffers(self, count: int, cpu) -> List[BufferRef]:
+        """Up to ``count`` buffers to post, fewer when the source runs dry
+        (hot-path contract: callers degrade through ``rx_nombuf``, no
+        try/except).
 
         Models whose buffer source cannot fail (X-Change recycles a
-        fixed region) inherit this and never return None.
+        fixed region) inherit this and always return ``count``.
         """
-        return self.rx_buffer(cpu)
+        return [self.rx_buffer(cpu) for _ in range(count)]
 
     def on_rx(self, ref: BufferRef, cpu) -> BufferRef:
         """Finalize the app-visible metadata address after DMA completion."""
         return ref
 
     @abc.abstractmethod
-    def release(self, ref: BufferRef, cpu) -> None:
-        """Return a buffer whose transmission completed."""
+    def release(self, refs, cpu) -> None:
+        """Return a sequence of buffers that left the pipeline
+        (transmitted, dropped or discarded), in order."""
 
     def allocate(self, cpu) -> BufferRef:
         """Produce a buffer for an app-originated packet (Tee clones,
@@ -146,8 +148,8 @@ class MetadataModel(abc.ABC):
     def try_allocate(self, cpu) -> Optional[BufferRef]:
         """Like :meth:`allocate`, but None on exhaustion (clone callers
         count ``clone_alloc_failures`` instead of catching)."""
-        ref = self.try_rx_buffer(cpu)
-        return None if ref is None else self.on_rx(ref, cpu)
+        refs = self.try_rx_buffers(1, cpu)
+        return self.on_rx(refs[0], cpu) if refs else None
 
     # -- driver code (IR) ----------------------------------------------------------
 
@@ -163,6 +165,39 @@ class MetadataModel(abc.ABC):
         registry.register(build_mbuf_layout())
         registry.register(build_cqe_layout())
         registry.register(build_tx_descriptor_layout())
+
+
+class MempoolModel(MetadataModel):
+    """A model whose buffers are mbufs from a DPDK mempool.
+
+    Gets and puts only move buffers; each loop of them then charges the
+    freelist once, through :meth:`Mempool.charge_freelist`.
+    """
+
+    def setup(self, space, params) -> None:
+        self.mempool = Mempool(space, n=params.rx_ring_size * 2 + 512)
+
+    def rx_buffer(self, cpu) -> BufferRef:
+        ref = self.mempool.get()
+        self.mempool.charge_freelist(cpu, 1)
+        return ref
+
+    def try_rx_buffers(self, count: int, cpu) -> List[BufferRef]:
+        pool = self.mempool
+        refs = []
+        for _ in range(count):
+            ref = pool.try_get()
+            if ref is None:
+                break
+            refs.append(ref)
+        pool.charge_freelist(cpu, len(refs))
+        return refs
+
+    def release(self, refs, cpu) -> None:
+        pool = self.mempool
+        for ref in refs:
+            pool.put(ref)
+        pool.charge_freelist(cpu, len(refs))
 
 
 def build_fastclick_packet_layout() -> StructLayout:
@@ -245,7 +280,7 @@ def build_overlay_packet_layout() -> StructLayout:
     return StructLayout("Packet", fields, min_size=256)
 
 
-class CopyingModel(MetadataModel):
+class CopyingModel(MempoolModel):
     """FastClick's default: copy driver metadata into a separate Packet pool.
 
     Two conversions per packet: CQE -> rte_mbuf (driver), then rte_mbuf ->
@@ -264,7 +299,7 @@ class CopyingModel(MetadataModel):
         self._obj_index_of = {}
 
     def setup(self, space, params) -> None:
-        self.mempool = Mempool(space, n=params.rx_ring_size * 2 + 512)
+        super().setup(space, params)
         self._obj_region = space.alloc_heap(
             "click_packet_pool", self.pool_objects * self._packet_layout.size
         )
@@ -275,12 +310,6 @@ class CopyingModel(MetadataModel):
         self._register_driver_layouts(registry)
         registry.register(self._packet_layout)
 
-    def rx_buffer(self, cpu) -> BufferRef:
-        return self.mempool.get(cpu)
-
-    def try_rx_buffer(self, cpu) -> Optional[BufferRef]:
-        return self.mempool.try_get(cpu)
-
     def on_rx(self, ref: BufferRef, cpu) -> BufferRef:
         obj = self._free_objs.pop()
         meta = self._obj_region.base + obj * self._packet_layout.size
@@ -288,11 +317,12 @@ class CopyingModel(MetadataModel):
         self._obj_index_of[meta] = obj
         return out
 
-    def release(self, ref: BufferRef, cpu) -> None:
-        self.mempool.put(ref, cpu)
-        obj = self._obj_index_of.pop(ref.meta_addr, None)
-        if obj is not None:
-            self._free_objs.append(obj)
+    def release(self, refs, cpu) -> None:
+        super().release(refs, cpu)
+        for ref in refs:
+            obj = self._obj_index_of.pop(ref.meta_addr, None)
+            if obj is not None:
+                self._free_objs.append(obj)
 
     def rx_program(self) -> Program:
         ops = list(_cqe_read_ops())
@@ -320,7 +350,7 @@ class CopyingModel(MetadataModel):
         return Program("pmd_tx_copying", ops)
 
 
-class OverlayingModel(MetadataModel):
+class OverlayingModel(MempoolModel):
     """BESS/FastClick-Light style: cast the mbuf, append annotations.
 
     One conversion (CQE -> rte_mbuf); the application reads driver fields
@@ -336,21 +366,9 @@ class OverlayingModel(MetadataModel):
         super().__init__()
         self._packet_layout = build_overlay_packet_layout()
 
-    def setup(self, space, params) -> None:
-        self.mempool = Mempool(space, n=params.rx_ring_size * 2 + 512)
-
     def register_layouts(self, registry: LayoutRegistry) -> None:
         self._register_driver_layouts(registry)
         registry.register(self._packet_layout)
-
-    def rx_buffer(self, cpu) -> BufferRef:
-        return self.mempool.get(cpu)  # meta_addr == mbuf_addr already
-
-    def try_rx_buffer(self, cpu) -> Optional[BufferRef]:
-        return self.mempool.try_get(cpu)
-
-    def release(self, ref: BufferRef, cpu) -> None:
-        self.mempool.put(ref, cpu)
 
     def rx_program(self) -> Program:
         ops = list(_cqe_read_ops())
@@ -444,8 +462,8 @@ class XChangeModel(MetadataModel):
         out.cqe_addr = ref.cqe_addr
         return out
 
-    def release(self, ref: BufferRef, cpu) -> None:
-        # Exchange semantics: the buffer simply becomes available again;
+    def release(self, refs, cpu) -> None:
+        # Exchange semantics: the buffers simply become available again;
         # no freelist is touched (rx_buffer cycles the same region).
         return None
 

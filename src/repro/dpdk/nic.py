@@ -89,7 +89,12 @@ class Nic:
 
         Each delivery DMA-writes the frame into the buffer's data room and
         a CQE into the completion queue (both via DDIO), then hands
-        (buffer, packet) to the PMD.  A finite trace ends deliveries
+        (buffer, packet) to the PMD.  The writes of the whole burst are
+        one :meth:`MemorySystem.dma_write
+        <repro.hw.memory.MemorySystem.dma_write>` call, in arrival order,
+        made when the loop ends -- also when it raises, so the frames
+        delivered before stay written.  Nothing the loop does between two
+        frames touches the memory system.  A finite trace ends deliveries
         cleanly (``trace_exhausted``); an attached fault injector may
         shrink the budget, damage frames, or -- when the RX ring has run
         dry under it -- count the frames that kept arriving as ``imissed``
@@ -119,54 +124,66 @@ class Nic:
             if poll is not None:
                 next_packet = partial(poll, qos.paused_priorities())
         out = []
-        for _ in range(budget):
-            if self.rx_ring.is_empty():
+        ranges = []
+        try:
+            for _ in range(budget):
+                if self.rx_ring.is_empty():
+                    if injector is not None:
+                        # Saturated source: frames keep arriving; with no
+                        # posted descriptor the hardware drops them.
+                        self.counters.imissed += budget - len(out)
+                    break
+                _, ref = self.rx_ring.pop()
+                try:
+                    pkt = next_packet()
+                except StopIteration:
+                    # Finite trace drained: re-post the unfilled buffer and
+                    # end deliveries cleanly with stats intact.
+                    self.trace_exhausted = True
+                    self.rx_ring.push(ref)
+                    break
+                if pkt is None:
+                    # Source has nothing for this queue right now (a sharded
+                    # ingest round spent its budget on other queues' frames,
+                    # or every backlogged priority is paused).
+                    self.rx_ring.push(ref)
+                    break
+                pkt.port = self.port
+                if qos is not None and not qos.admit(pkt):
+                    # Ingress buffer refused the frame: counted in the
+                    # qos.* ledger, descriptor left posted for the next one.
+                    self.rx_ring.push(ref)
+                    continue
                 if injector is not None:
-                    # Saturated source: frames keep arriving; with no
-                    # posted descriptor the hardware drops them.
-                    self.counters.imissed += budget - len(out)
-                break
-            _, ref = self.rx_ring.pop()
-            try:
-                pkt = next_packet()
-            except StopIteration:
-                # Finite trace drained: re-post the unfilled buffer and
-                # end deliveries cleanly with stats intact.
-                self.trace_exhausted = True
-                self.rx_ring.push(ref)
-                break
-            if pkt is None:
-                # Source has nothing for this queue right now (a sharded
-                # ingest round spent its budget on other queues' frames,
-                # or every backlogged priority is paused).
-                self.rx_ring.push(ref)
-                break
-            pkt.port = self.port
-            if qos is not None and not qos.admit(pkt):
-                # Ingress buffer refused the frame: counted in the
-                # qos.* ledger, descriptor left posted for the next one.
-                self.rx_ring.push(ref)
-                continue
-            if injector is not None:
-                injector.mutate_frame(pkt, self.port)
-            self.mem.dma_write(ref.data_addr, len(pkt))
-            cqe_addr = self.cq.slot_addr(self._cq_index)
-            self._cq_index += 1
-            self.mem.dma_write(cqe_addr, CQE_SIZE)
-            ref.cqe_addr = cqe_addr
-            self.rx_delivered += 1
-            out.append((ref, pkt))
+                    injector.mutate_frame(pkt, self.port)
+                cqe_addr = self.cq.slot_addr(self._cq_index)
+                self._cq_index += 1
+                ranges.append((ref.data_addr, len(pkt)))
+                ranges.append((cqe_addr, CQE_SIZE))
+                ref.cqe_addr = cqe_addr
+                self.rx_delivered += 1
+                out.append((ref, pkt))
+        finally:
+            if ranges:
+                self.mem.dma_write(ranges)
         return out
 
     # -- TX side ----------------------------------------------------------------
 
-    def transmit(self, ref: BufferRef, frame_len: int) -> int:
-        """Hardware transmit: DMA-read the frame; returns the WQE slot addr."""
+    def transmit(self, ref: BufferRef, frame_len: int) -> Tuple[int, int, int]:
+        """Hardware transmit: post the frame's WQE.
+
+        Returns the WQE slot address and the first and last line of the
+        frame the NIC DMA-reads.  The PMD's TX charge makes that read just
+        before the frame's TX program (``execute_bases(..., dma_read=True)``).
+        """
         slot = self.tx_ring.push(ref)
-        self.mem.dma_read(ref.data_addr, frame_len)
         self.tx_sent += 1
         self.tx_bytes += frame_len
-        return self.tx_ring.slot_addr(slot)
+        line = self.mem.params.cache_line
+        data = ref.data_addr
+        return (self.tx_ring.slot_addr(slot), data // line,
+                (data + frame_len - 1) // line)
 
     def reap_tx(self, threshold: int) -> List[BufferRef]:
         """Return buffers whose transmission completed (ring past threshold)."""

@@ -65,12 +65,13 @@ class MlxPmd:
         fails, in which case it bumps ``rx_nombuf`` and retries next poll --
         the run degrades instead of aborting.
         """
-        while not self.nic.rx_ring.is_full():
-            buf = self.model.try_rx_buffer(cpu)
-            if buf is None:
-                self.nic.counters.rx_nombuf += 1
-                return
-            self.nic.post_rx(buf)
+        nic = self.nic
+        want = nic.rx_ring.free_slots
+        bufs = self.model.try_rx_buffers(want, cpu)
+        for buf in bufs:
+            nic.post_rx(buf)
+        if len(bufs) < want:
+            nic.counters.rx_nombuf += 1
 
     # -- RX ---------------------------------------------------------------------
 
@@ -103,7 +104,7 @@ class MlxPmd:
                     counters.rx_truncated += 1
                 else:
                     counters.rx_corrupt += 1
-                model.release(ref, cpu)
+                model.release((ref,), cpu)
                 ticket = pkt.qos_ticket
                 if ticket is not None:
                     # The discarded frame leaves the system here; release
@@ -129,42 +130,53 @@ class MlxPmd:
     # -- TX -----------------------------------------------------------------------
 
     def tx_burst(self, packets: List[Packet]) -> int:
-        """Transmit a batch; returns the number of packets sent."""
+        """Transmit a batch; returns the number of packets sent.
+
+        The ring pushes, the ``tx_full`` cut and the QoS drains run per
+        packet, in order; the TX programs are charged after them in one
+        call, each frame's DMA read just before its program.  None of the
+        per-packet steps charges the model, so the charge is the
+        per-packet sequence.  A packet without a buffer raises after the
+        packets before it are charged.
+        """
         if not packets:
             return 0
-        self.cpu.charge_compute(BURST_OVERHEAD_INSTRUCTIONS)
-        injector = self.nic.faults
-        blocked = injector is not None and injector.tx_blocked(self.nic.port)
-        sent = 0
-        for pkt in packets:
-            ref = pkt.mbuf
-            if ref is None:
-                raise ValueError("packet has no attached DPDK buffer")
-            if blocked or self.nic.tx_ring.is_full():
-                # TX backpressure: refuse the rest of the burst as counted
-                # drops and let the driver loop kill the unsent packets.
-                self.nic.counters.tx_full += len(packets) - sent
-                break
-            wqe_addr = self.nic.transmit(ref, len(pkt))
-            # One packet at a time: the NIC's DMA read of each frame
-            # comes before that frame's TX program.
-            execute_bases(self.cpu, self.tx_exec, ((
-                ref.meta_addr, ref.mbuf_addr, wqe_addr, ref.data_addr, 0),))
-            ticket = pkt.qos_ticket
-            if ticket is not None:
-                # Transmitted: the frame leaves the ingress buffer.
-                pkt.qos_ticket = None
-                ticket[0].drain(ticket[1])
-            sent += 1
-        self.cpu.charge_ns(DOORBELL_NS)
-        for ref in self.nic.reap_tx(TX_FREE_THRESHOLD):
-            self.model.release(ref, self.cpu)
-        return sent
+        cpu = self.cpu
+        nic = self.nic
+        cpu.charge_compute(BURST_OVERHEAD_INSTRUCTIONS)
+        injector = nic.faults
+        blocked = injector is not None and injector.tx_blocked(nic.port)
+        tx_ring = nic.tx_ring
+        rows = []
+        try:
+            for pkt in packets:
+                ref = pkt.mbuf
+                if ref is None:
+                    raise ValueError("packet has no attached DPDK buffer")
+                if blocked or tx_ring.is_full():
+                    # TX backpressure: refuse the rest of the burst as
+                    # counted drops and let the driver loop kill the unsent
+                    # packets.
+                    nic.counters.tx_full += len(packets) - len(rows)
+                    break
+                wqe_addr, first_line, last_line = nic.transmit(ref, len(pkt))
+                rows.append((ref.meta_addr, ref.mbuf_addr, wqe_addr,
+                             ref.data_addr, 0, first_line, last_line))
+                ticket = pkt.qos_ticket
+                if ticket is not None:
+                    # Transmitted: the frame leaves the ingress buffer.
+                    pkt.qos_ticket = None
+                    ticket[0].drain(ticket[1])
+        finally:
+            if rows:
+                execute_bases(cpu, self.tx_exec, rows, dma_read=True)
+        cpu.charge_ns(DOORBELL_NS)
+        self.model.release(nic.reap_tx(TX_FREE_THRESHOLD), cpu)
+        return len(rows)
 
     def drain_tx(self) -> None:
         """Release every in-flight TX buffer (end of run)."""
-        for ref in self.nic.reap_tx(0):
-            self.model.release(ref, self.cpu)
+        self.model.release(self.nic.reap_tx(0), self.cpu)
 
     def recover(self) -> None:
         """Watchdog recovery: reap all TX completions, refill the RX ring.

@@ -17,8 +17,9 @@ differ only in ``freq_ghz``, builds and measures each group once at its
 first member's frequency, and evaluates every member from that one run
 (:meth:`MeasuredRun.at_frequency` and :func:`throughput_point`).  One
 group is one task, in-process or on the pool.  Sharded points
-(``n_cores > 1``) and :class:`FrameworkPointSpec` points are one task
-each.
+(``n_cores > 1``) are one task each, and so are :class:`FrameworkPointSpec`
+points, except that labels building the same Click forwarder (BESS and
+FastClick-Light) share one.
 
 Worker count comes from ``jobs=``, else ``REPRO_JOBS``, else the CPU
 count; one job runs in-process.  ``REPRO_SWEEP=serial`` makes it one job
@@ -194,8 +195,23 @@ def _by_frequency(spec) -> bool:
 
 
 def _group_key(spec):
-    """Specs with equal keys share one build and one measured run."""
-    return replace(spec, freq_ghz=None) if _by_frequency(spec) else spec
+    """Specs with equal keys share one build and one measured run.
+
+    A single-core point is keyed without its frequency.  A Click-based
+    framework point is keyed by what it builds, its
+    :data:`~repro.frameworks.CLICK_FRAMEWORKS` row ``(options, burst)``,
+    so labels with the same row (BESS and FastClick-Light) run once.
+    """
+    if _by_frequency(spec):
+        return replace(spec, freq_ghz=None)
+    if isinstance(spec, FrameworkPointSpec):
+        from repro.frameworks import CLICK_FRAMEWORKS
+
+        build = CLICK_FRAMEWORKS.get(spec.framework)
+        if build is not None:
+            return (build, spec.frame_len, spec.freq_ghz, spec.batches,
+                    spec.warmup_batches, spec.seed)
+    return spec
 
 
 def run_group(specs: Sequence) -> List:
@@ -203,8 +219,8 @@ def run_group(specs: Sequence) -> List:
     build and one run (module-level, so process pools can map it).
 
     A single-core group is measured at its first member's frequency and
-    every member is evaluated from that run.  Any other group is copies of
-    one spec, executed once.
+    every member is evaluated from that run.  Any other group runs its
+    first spec once and every member gets that point.
     """
     first = specs[0]
     if not _by_frequency(first):

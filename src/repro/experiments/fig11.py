@@ -42,19 +42,26 @@ class Fig11Result(ExperimentResult):
         return series_points("size", self.sizes, {"gbps": self.gbps})
 
 
-def run(scale: Scale = QUICK) -> Fig11Result:
-    sizes = list(scale.packet_sizes)
-    names = sorted(set(FIG11A) | set(FIG11B))
-    gbps: Dict[str, List[float]] = {n: [] for n in names}
-    specs = [
+#: Every framework fig11 measures, in its sweep order.
+NAMES = tuple(sorted(set(FIG11A) | set(FIG11B)))
+
+
+def point_specs(scale: Scale) -> List[FrameworkPointSpec]:
+    """fig11's sweep: every framework at every size, size-major."""
+    return [
         FrameworkPointSpec(name, size, FREQ_GHZ,
                            scale.batches, scale.warmup_batches, seed=3)
-        for size in sizes
-        for name in names
+        for size in scale.packet_sizes
+        for name in NAMES
     ]
-    points = iter(run_points(specs))
+
+
+def run(scale: Scale = QUICK) -> Fig11Result:
+    sizes = list(scale.packet_sizes)
+    gbps: Dict[str, List[float]] = {n: [] for n in NAMES}
+    points = iter(run_points(point_specs(scale)))
     for size in sizes:
-        for name in names:
+        for name in NAMES:
             gbps[name].append(next(points).gbps)
     return Fig11Result(sizes, gbps)
 

@@ -189,20 +189,33 @@ class CacheHierarchy:
         s1[line_addr] = False
         return level
 
-    def dma_write(self, first_line: int, last_line: int) -> None:
-        """NIC DMA of lines ``first_line..last_line``: DDIO-allocate each
-        in the LLC and invalidate every core-private copy."""
+    def dma_write(self, ranges) -> int:
+        """NIC DMA of each ``(first_line, last_line)`` range, in order:
+        DDIO-allocate every line in the LLC and invalidate every
+        core-private copy.  Returns the number of lines written.
+
+        One call takes a whole RX burst (each frame's data, then its CQE).
+        A core's same-line memo is cleared once if any range holds it:
+        nothing between the lines of one call sets a memo again.
+        """
         memo = self.last_line
-        for core, line_addr in enumerate(memo):
-            if line_addr is not None and first_line <= line_addr <= last_line:
-                memo[core] = None
+        for core, held in enumerate(memo):
+            if held is not None:
+                for first_line, last_line in ranges:
+                    if first_line <= held <= last_line:
+                        memo[core] = None
+                        break
         private = self._private
         fill = self.llc.fill
         ddio_ways = self.params.ddio_ways
-        for line_addr in range(first_line, last_line + 1):
-            for cache in private:
-                cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
-            fill(line_addr, True, ddio_ways)
+        written = 0
+        for first_line, last_line in ranges:
+            written += last_line - first_line + 1
+            for line_addr in range(first_line, last_line + 1):
+                for cache in private:
+                    cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
+                fill(line_addr, True, ddio_ways)
+        return written
 
     def dma_read(self, first_line: int, last_line: int) -> int:
         """NIC DMA read (TX) of lines ``first_line..last_line``: each LLC

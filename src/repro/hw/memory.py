@@ -100,7 +100,7 @@ class MemorySystem:
         return totals.core_cycles, totals.uncore_ns
 
     def charge(self, cpu, instructions: float, miss: float, ops, random_ops,
-               rows, prefetch=()) -> None:
+               rows, prefetch=(), dma_read: bool = False) -> None:
         """Charge one program to ``cpu`` once per row of base addresses.
 
         ``cpu`` is the core whose ``instructions``/``core_cycles``/
@@ -114,17 +114,21 @@ class MemorySystem:
            ``skip_zero`` and the base is 0), for one instruction,
            ``1 / issue_ipc`` cycles and its LLC/DRAM ns at
            ``prefetch_mlp``, with no events;
-        2. the compute: ``instructions`` and ``instructions / issue_ipc``
+        2. with ``dma_read``, the NIC's DMA read of lines ``row[5]`` to
+           ``row[6]`` (a transmitted frame), through
+           :meth:`CacheHierarchy.dma_read`: no core-side cost or event,
+           but each LLC hit is promoted;
+        3. the compute: ``instructions`` and ``instructions / issue_ipc``
            cycles, then ``branch_miss_cycles * miss`` cycles and
            ``round(miss)`` branch misses;
-        3. the memory ops ``(target, offset, size, write)``, each ``size``
+        4. the memory ops ``(target, offset, size, write)``, each ``size``
            bytes at ``row[target] + offset``;
-        4. the random ops ``(footprint, count)``, each ``count`` analytic
+        5. the random ops ``(footprint, count)``, each ``count`` analytic
            accesses.
 
         These are the float operations, decisions and events of one
-        ``CpuCore.prefetch`` per prefetch and one per-packet program
-        charge per row, in that order.
+        ``CpuCore.prefetch`` per prefetch, the frame's ``Nic.transmit``
+        DMA read and one per-packet program charge per row, in that order.
 
         Each cache line spanned counts as one load/store; the TLB is
         consulted once per page touched.  An op's cost is summed from
@@ -145,8 +149,8 @@ class MemorySystem:
 
         A raise (a ``None`` base) in row ``k`` leaves rows before ``k``
         fully charged, and row ``k`` with the prefetches issued before the
-        raise and, once they are all issued, its compute charge, but none
-        of its memory ops' costs.  The memo, the TLB's last page and
+        raise and, once they are all issued, its DMA read and compute
+        charge, but none of its memory ops' costs.  The memo, the TLB's last page and
         ``dtlb_walks`` stand as the lines walked so far left them.
         """
         core = cpu.core_id
@@ -169,6 +173,8 @@ class MemorySystem:
             miss_cycles = cpu.params.branch_miss_cycles * miss
             miss_count = round(miss)
             branch_misses = h.branch_misses
+        if dma_read:
+            read = hierarchy.dma_read
         if prefetch:
             lookup = hierarchy.lookup
             prefetch_cycles = 1 / cpu.params.issue_ipc
@@ -196,6 +202,8 @@ class MemorySystem:
                         done += 1
                         cycles += prefetch_cycles
                         ns += fetch_ns
+                if dma_read:
+                    read(bases[5], bases[6])
                 done += instructions
                 cycles += compute
                 if miss:
@@ -390,16 +398,21 @@ class MemorySystem:
 
     # -- NIC DMA ------------------------------------------------------------------
 
-    def dma_write(self, addr: int, size: int) -> None:
-        """NIC writes ``size`` bytes (packet data or descriptors) via DDIO."""
+    def dma_write(self, ranges) -> None:
+        """NIC writes each ``(addr, size)`` range (packet data or
+        descriptors) via DDIO, in order: one call per RX burst."""
         line = self.params.cache_line
-        first_line = addr // line
-        last_line = (addr + size - 1) // line
-        self.hierarchy.dma_write(first_line, last_line)
-        self.counters[0].handles.ddio_fills.value += last_line - first_line + 1
+        written = self.hierarchy.dma_write(
+            [(addr // line, (addr + size - 1) // line) for addr, size in ranges])
+        self.counters[0].handles.ddio_fills.value += written
 
     def dma_read(self, addr: int, size: int) -> None:
-        """NIC reads ``size`` bytes for transmission (no core-side cost)."""
+        """NIC reads ``size`` bytes for transmission (no core-side cost).
+
+        The PMD's transmits read their frames inside :meth:`charge`
+        (``dma_read=True``), one call per TX burst; this is the one-range
+        form of the same read.
+        """
         line = self.params.cache_line
         self.hierarchy.dma_read(addr // line, (addr + size - 1) // line)
 

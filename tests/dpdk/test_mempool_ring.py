@@ -81,6 +81,19 @@ class TestMempool:
         with pytest.raises(RuntimeError):
             pool.put(ref)
 
+    def test_double_free_detected_while_other_buffers_are_out(self):
+        """A buffer put twice is caught although the pool is not full;
+        accepted, it would come back from two gets."""
+        pool = self._pool(n=4)
+        a = pool.get()
+        pool.get()
+        pool.put(a)
+        with pytest.raises(RuntimeError, match="double free"):
+            pool.put(a)
+        assert pool.get().index == a.index
+        assert pool.get().index != a.index
+        assert pool.gets == pool.puts + pool.in_flight
+
     def test_put_validates_index(self):
         pool = self._pool(n=2)
         with pytest.raises(IndexError):

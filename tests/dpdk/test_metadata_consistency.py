@@ -93,7 +93,7 @@ class TestBufferLifecycles:
         ref = model.allocate(None)
         assert ref.data_addr > 0
         assert ref.meta_addr > 0
-        model.release(ref, None)  # never raises
+        model.release([ref], None)  # never raises
 
     def test_copying_allocate_distinct_meta(self):
         model, _ = setup_model(CopyingModel)

@@ -21,6 +21,20 @@ def make_nic(frame=256, rx_ring=64):
     return nic, model, mem
 
 
+class FailingTrace:
+    """``trace``'s first ``good`` frames, then a raise."""
+
+    def __init__(self, trace, good):
+        self.trace = trace
+        self.good = good
+
+    def next_packet(self):
+        if not self.good:
+            raise RuntimeError("trace source failed")
+        self.good -= 1
+        return self.trace.next_packet()
+
+
 class TestRxPath:
     def test_deliver_requires_posted_buffers(self):
         nic, model, _ = make_nic()
@@ -49,6 +63,28 @@ class TestRxPath:
         # 256-B frame = 4 lines, plus one CQE line.
         assert mem.counters[0].ddio_fills == 5
         assert ref.cqe_addr != 0
+
+    def test_frames_delivered_before_a_raise_stay_written(self):
+        """The burst's DMA writes are one call when the loop ends, also
+        when the trace raises: the two frames before the raise are
+        written (4 data lines and a CQE line each), in one call."""
+        nic, model, mem = make_nic(frame=256)
+        for _ in range(4):
+            nic.post_rx(model.rx_buffer(None))
+        nic.trace = FailingTrace(nic.trace, good=2)
+        calls = []
+        write = mem.dma_write
+
+        def counting_write(ranges):
+            calls.append(len(ranges))
+            write(ranges)
+
+        mem.dma_write = counting_write
+        with pytest.raises(RuntimeError):
+            nic.deliver(4)
+        assert calls == [4]
+        assert mem.counters[0].ddio_fills == 2 * 5
+        assert nic.rx_delivered == 2
 
     def test_cqe_addresses_rotate(self):
         nic, model, _ = make_nic()

@@ -16,7 +16,7 @@ from repro.dpdk.metadata import (
     make_model,
 )
 from repro.dpdk.nic import Nic
-from repro.dpdk.pmd import MlxPmd
+from repro.dpdk.pmd import BURST_OVERHEAD_INSTRUCTIONS, MlxPmd
 from repro.hw.cpu import CpuCore
 from repro.hw.layout import AddressSpace
 from repro.hw.memory import MemorySystem
@@ -152,6 +152,19 @@ class TestTxPath:
         pmd, *_ = make_rig()
         with pytest.raises(ValueError):
             pmd.tx_burst([Packet(b"\x00" * 64)])
+
+    def test_tx_charges_the_packets_before_a_bufferless_one(self):
+        from repro.net.packet import Packet
+
+        pmd, cpu, nic, *_ = make_rig()
+        pkts = pmd.rx_burst(2)
+        expected = cpu.instructions + BURST_OVERHEAD_INSTRUCTIONS
+        for _ in pkts:
+            expected += pmd.tx_exec.instructions
+        with pytest.raises(ValueError):
+            pmd.tx_burst(pkts + [Packet(b"\x00" * 64)])
+        assert nic.tx_sent == 2
+        assert cpu.instructions == expected
 
     def test_tx_counts_bytes(self):
         pmd, _, nic, *_ = make_rig(frame=256)

@@ -11,14 +11,16 @@ from repro.core.packetmill import PacketMill
 from repro.core.profile import BuildError
 from repro.exec import cache as exec_cache
 from repro.exec.sweep import (
+    FrameworkPointSpec,
     PointSpec,
     SweepEngine,
     TraceKey,
+    _group_key,
     default_jobs,
     run_points,
 )
-from repro.experiments import fig01, fig06, fig10
-from repro.experiments.common import Scale
+from repro.experiments import fig01, fig06, fig10, fig11
+from repro.experiments.common import QUICK, Scale
 
 #: Small but non-trivial scale for the determinism tests.
 MICRO = Scale(
@@ -216,3 +218,37 @@ class TestFrequencyGroups:
                  for freq in (1.2, 3.0)]
         run_points(specs, jobs=1)
         assert calls == [1.2, 3.0]
+
+
+class TestFrameworkGroups:
+    """Framework labels that build the same forwarder share one run."""
+
+    SHARED = ["BESS", "FastClick-Light (Overlaying)"]
+
+    def test_fig11_specs_form_six_groups_per_size(self):
+        specs = fig11.point_specs(QUICK)
+        sizes = len(QUICK.packet_sizes)
+        assert len(specs) == 7 * sizes
+        groups = {}
+        for spec in specs:
+            groups.setdefault(_group_key(spec), []).append(spec.framework)
+        assert len(groups) == 6 * sizes
+        shared = [labels for labels in groups.values() if len(labels) > 1]
+        assert shared == [self.SHARED] * sizes
+
+    def test_a_shared_group_builds_once_and_each_label_gets_its_point(
+            self, monkeypatch):
+        builds = []
+        original = PacketMill.build
+
+        def counting_build(mill):
+            builds.append(mill.options)
+            return original(mill)
+
+        specs = [FrameworkPointSpec(label, 64, 1.2, 4, 2, seed=3)
+                 for label in self.SHARED]
+        monkeypatch.setattr(PacketMill, "build", counting_build)
+        points = run_points(specs, jobs=1)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        assert points[0] == points[1] == specs[1].execute()

@@ -19,6 +19,13 @@ returns.
 ``CpuCore.prefetch`` calls (the CQE, the rte_mbuf unless its address is
 0, the metadata and the packet data), written out with
 ``MemorySystem.prefetch`` as :func:`prefetch`, then :func:`charge`.
+
+The NIC side is frozen per frame, as it was before its charges took a
+whole burst: :func:`dma_write` is one frame's (or one CQE's) DDIO write,
+:func:`transmit` is ``Nic.transmit`` with its own DMA read of the frame
+(:func:`dma_read`), made before the frame's TX :func:`charge`, and
+:func:`mem_access` is ``CpuCore.mem_access``, which the mempool made once
+per get and per put at the freelist head.
 """
 
 from __future__ import annotations
@@ -104,3 +111,48 @@ def rx_charge(cpu, program, meta, mbuf, descriptor, data, state) -> None:
     prefetch(cpu, meta, 128)
     prefetch(cpu, data, 128)
     charge(cpu, program, meta, mbuf, descriptor, data, state)
+
+
+def dma_write(mem, addr, size) -> None:
+    # MemorySystem.dma_write and CacheHierarchy.dma_write of one range
+    line = mem.params.cache_line
+    first_line = addr // line
+    last_line = (addr + size - 1) // line
+    hierarchy = mem.hierarchy
+    memo = hierarchy.last_line
+    for core, line_addr in enumerate(memo):
+        if line_addr is not None and first_line <= line_addr <= last_line:
+            memo[core] = None
+    for line_addr in range(first_line, last_line + 1):
+        for cache in hierarchy.l1 + hierarchy.l2:
+            cache._sets[line_addr % cache.n_sets].pop(line_addr, None)
+        hierarchy.llc.fill(line_addr, True, mem.params.ddio_ways)
+    mem.counters[0].handles.ddio_fills.value += last_line - first_line + 1
+
+
+def dma_read(mem, addr, size) -> None:
+    # MemorySystem.dma_read and CacheHierarchy.dma_read
+    line = mem.params.cache_line
+    llc = mem.hierarchy.llc
+    for line_addr in range(addr // line, (addr + size - 1) // line + 1):
+        cset = llc._sets[line_addr % llc.n_sets]
+        flag = cset.pop(line_addr, None)
+        if flag is not None:
+            cset[line_addr] = flag
+
+
+def transmit(nic, ref, frame_len) -> int:
+    # Nic.transmit, reading the frame itself
+    slot = nic.tx_ring.push(ref)
+    dma_read(nic.mem, ref.data_addr, frame_len)
+    nic.tx_sent += 1
+    nic.tx_bytes += frame_len
+    return nic.tx_ring.slot_addr(slot)
+
+
+def mem_access(cpu, addr, size, write, instructions) -> None:
+    # CpuCore.mem_access
+    cycles, ns = cpu.mem.access(cpu.core_id, addr, size, write)
+    cpu.instructions += instructions
+    cpu.core_cycles += cycles + instructions / cpu.params.issue_ipc
+    cpu.uncore_ns += ns

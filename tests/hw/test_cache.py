@@ -147,13 +147,13 @@ class TestCacheHierarchy:
     def test_dma_write_invalidates_core_caches(self):
         hier = self._hier()
         hier.lookup(0, 7)  # now in L1/L2/LLC
-        hier.dma_write(7, 7)
+        hier.dma_write([(7, 7)])
         # The line must be served from LLC (DDIO), not stale L1.
         assert hier.lookup(0, 7) == CacheHierarchy.LLC
 
     def test_dma_read_hits_after_fill(self):
         hier = self._hier()
-        hier.dma_write(13, 13)
+        hier.dma_write([(13, 13)])
         assert hier.dma_read(13, 13) == 1
 
     def test_dma_read_miss_when_absent(self):

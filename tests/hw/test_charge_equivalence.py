@@ -16,6 +16,19 @@ charge per row, with the PMD's receive prefetches
 :func:`tests.hw.reference_charge.rx_charge`) or without them, including
 bursts where one row's base is ``None`` and the charge raises there.
 
+The NIC side is held to its per-frame reference the same way:
+
+- one burst ``MemorySystem.dma_write`` to one reference DDIO write per
+  range, with ranges that hold another core's same-line memo;
+- a TX burst (``Nic.transmit`` per packet, then one ``execute_bases``
+  with ``dma_read=True``) to the reference ``transmit`` followed by a
+  one-row charge, per packet;
+- one ``Mempool.charge_freelist`` of ``count`` rows to ``count``
+  reference ``CpuCore.mem_access`` calls at the freelist head.
+
+The caches are four sets, so the frames' lines share LLC sets with the
+TX program's lines, and a DMA read made out of its place moves them.
+
 Instruction counts, cost parameters and the starting core totals are
 non-dyadic, so any regrouping of the float additions shows.  Branch-miss
 expectations include halves, where ``round`` rounds to even.
@@ -37,8 +50,12 @@ from repro.compiler.lower import (
     MemOp,
 )
 from repro.compiler.runtime import execute_bases
+from repro.dpdk.mbuf import BufferRef
+from repro.dpdk.mempool import Mempool
+from repro.dpdk.nic import Nic
 from repro.dpdk.pmd import RX_PREFETCH
 from repro.hw.cpu import CpuCore
+from repro.hw.layout import AddressSpace
 from repro.hw.memory import MemorySystem
 
 from tests.hw import reference_charge
@@ -98,6 +115,39 @@ programs = st.builds(
 totals = st.sampled_from((0.0, 0.1, 0.3, 7.7, 1e6 + 0.1))
 
 
+def dma_write_op(n_cores):
+    """One RX burst's DMA ranges, and maybe a core whose same-line memo
+    one more range (at a drawn place in the burst) covers."""
+    ranges = st.lists(st.tuples(packet_bases, st.integers(1, 3 * LINE)),
+                      min_size=1, max_size=6)
+    memo = st.one_of(st.none(), st.tuples(
+        st.integers(0, n_cores - 1), st.integers(0, 6),
+        st.sampled_from((0, 8, LINE + 8)), st.integers(1, 2 * LINE)))
+    return st.tuples(st.just("dma_write"), ranges, memo)
+
+
+def tx_op(core):
+    """A TX burst: per packet its (meta, mbuf, data, state) bases and
+    frame length."""
+    packets = st.lists(
+        st.tuples(packet_bases, st.one_of(st.just(0), packet_bases),
+                  packet_bases, state_bases, st.integers(1, 3 * LINE)),
+        min_size=1, max_size=8)
+    return st.tuples(st.just("tx"), core, programs, packets)
+
+
+def nic_operations(n_cores):
+    """The NIC side's charges: DMA-write bursts, TX bursts and freelist
+    loops."""
+    core = st.integers(0, n_cores - 1)
+    return [
+        dma_write_op(n_cores),
+        tx_op(core),
+        tx_op(core),
+        st.tuples(st.just("freelist"), core, st.integers(1, 9)),
+    ]
+
+
 def operations(n_cores):
     core = st.integers(0, n_cores - 1)
     return st.lists(
@@ -105,20 +155,28 @@ def operations(n_cores):
             st.tuples(st.just("charge"), core, programs, bases),
             st.tuples(st.just("charge"), core, programs, bases),
             st.tuples(st.just("charge"), core, programs, bases),
-            # A DMA write, which may clear a core's same-line memo.
-            st.tuples(st.just("dma_write"), packet_bases,
-                      st.integers(1, 3 * LINE)),
+            *nic_operations(n_cores),
         ),
         max_size=40,
     )
 
 
-def build(n_cores, start):
-    mem = MemorySystem(params(), n_cores)
-    cpus = [CpuCore(mem.params, mem, core) for core in range(n_cores)]
-    for cpu in cpus:
-        cpu.instructions, cpu.core_cycles, cpu.uncore_ns = start
-    return mem, cpus
+class Rig:
+    """A memory system, its cores, one NIC port and one mempool."""
+
+    def __init__(self, n_cores, start):
+        self.mem = MemorySystem(params(), n_cores)
+        self.cpus = [CpuCore(self.mem.params, self.mem, core)
+                     for core in range(n_cores)]
+        for cpu in self.cpus:
+            cpu.instructions, cpu.core_cycles, cpu.uncore_ns = start
+        space = AddressSpace(seed=0)
+        self.nic = Nic(self.mem.params, self.mem, space, trace=None)
+        self.pool = Mempool(space, n=4)
+
+    def state(self):
+        return full_state(self.mem, self.cpus) + (
+            self.nic.tx_sent, self.nic.tx_bytes)
 
 
 def core_totals(cpus):
@@ -132,18 +190,67 @@ def full_state(mem, cpus):
             [tlb.last_page for tlb in mem.tlbs])
 
 
+def memo_range(mem, memo):
+    """The range a ``dma_write`` op adds over a core's memo line, if the
+    op names one and that core holds a memo."""
+    core, _, back, size = memo
+    line_addr = mem.hierarchy.last_line[core]
+    if line_addr is None:
+        return None
+    addr = max(0, line_addr * LINE - back)
+    return addr, line_addr * LINE - addr + size
+
+
+def apply_nic_op(rig, ref, op):
+    """Charge one NIC-side op: ``rig`` in bursts, ``ref`` per frame."""
+    kind = op[0]
+    if kind == "dma_write":
+        _, ranges, memo = op
+        extra = memo_range(rig.mem, memo) if memo is not None else None
+        if extra is not None:
+            ranges = list(ranges)
+            ranges.insert(min(memo[1], len(ranges)), extra)
+        rig.mem.dma_write(ranges)
+        for addr, size in ranges:
+            reference_charge.dma_write(ref.mem, addr, size)
+    elif kind == "tx":
+        _, core, program, packets = op
+        rows = []
+        for meta, mbuf, data, state_base, length in packets:
+            wqe, first_line, last_line = rig.nic.transmit(
+                BufferRef(0, mbuf, data, meta), length)
+            rows.append((meta, mbuf, wqe, data, state_base, first_line,
+                         last_line))
+        execute_bases(rig.cpus[core], program, rows, dma_read=True)
+        for meta, mbuf, data, state_base, length in packets:
+            wqe = reference_charge.transmit(
+                ref.nic, BufferRef(0, mbuf, data, meta), length)
+            reference_charge.charge(ref.cpus[core], program, meta, mbuf, wqe,
+                                    data, state_base)
+        for side in (rig, ref):
+            side.nic.reap_tx(0)
+    else:
+        assert kind == "freelist"
+        _, core, count = op
+        rig.pool.charge_freelist(rig.cpus[core], count)
+        head = ref.pool.freelist_region.base
+        for _ in range(count):
+            reference_charge.mem_access(ref.cpus[core], head, 8, True, 0.0)
+
+
 def run_both(ops, n_cores, start):
-    mem, cpus = build(n_cores, start)
-    ref_mem, ref_cpus = build(n_cores, start)
+    rig = Rig(n_cores, start)
+    ref = Rig(n_cores, start)
+    mem, cpus = rig.mem, rig.cpus
+    ref_mem, ref_cpus = ref.mem, ref.cpus
     for op in ops:
         if op[0] == "charge":
             _, core, program, program_bases = op
             execute_bases(cpus[core], program, [program_bases])
             reference_charge.charge(ref_cpus[core], program, *program_bases)
         else:
-            mem.dma_write(op[1], op[2])
-            ref_mem.dma_write(op[1], op[2])
-        assert full_state(mem, cpus) == full_state(ref_mem, ref_cpus), op
+            apply_nic_op(rig, ref, op)
+        assert rig.state() == ref.state(), op
     return (mem, cpus), (ref_mem, ref_cpus)
 
 
@@ -225,20 +332,19 @@ def burst_operations(n_cores):
                       st.booleans(), broken),
             st.tuples(st.just("burst"), core, programs, burst_rows,
                       st.booleans(), broken),
-            st.tuples(st.just("dma_write"), packet_bases,
-                      st.integers(1, 3 * LINE)),
+            *nic_operations(n_cores),
         ),
         max_size=12,
     )
 
 
 def run_bursts(ops, n_cores, start):
-    mem, cpus = build(n_cores, start)
-    ref_mem, ref_cpus = build(n_cores, start)
+    rig = Rig(n_cores, start)
+    ref = Rig(n_cores, start)
+    cpus, ref_cpus = rig.cpus, ref.cpus
     for op in ops:
-        if op[0] == "dma_write":
-            mem.dma_write(op[1], op[2])
-            ref_mem.dma_write(op[1], op[2])
+        if op[0] != "burst":
+            apply_nic_op(rig, ref, op)
         else:
             _, core, program, rows, rx, broken = op
             if broken is not None and broken[0] < len(rows):
@@ -260,7 +366,7 @@ def run_bursts(ops, n_cores, start):
             except TypeError:
                 ref_raised = True
             assert raised == ref_raised, op
-        assert full_state(mem, cpus) == full_state(ref_mem, ref_cpus), op
+        assert rig.state() == ref.state(), op
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,8 +398,10 @@ def test_a_raising_row_keeps_the_rows_before_it(index, misses):
             BASES[4] + 40, BASES[1])
     broken = good[:index] + (None,) + good[index + 1:]
     rows = [good, good[:1] + (0,) + good[2:], broken]
-    mem, cpus = build(1, (0.1, 7.7, 1e6 + 0.1))
-    ref_mem, ref_cpus = build(1, (0.1, 7.7, 1e6 + 0.1))
+    rig = Rig(1, (0.1, 7.7, 1e6 + 0.1))
+    ref = Rig(1, (0.1, 7.7, 1e6 + 0.1))
+    mem, cpus = rig.mem, rig.cpus
+    ref_mem, ref_cpus = ref.mem, ref.cpus
     with pytest.raises(TypeError):
         execute_bases(cpus[0], program, rows, RX_PREFETCH)
     with pytest.raises(TypeError):
@@ -302,3 +410,48 @@ def test_a_raising_row_keeps_the_rows_before_it(index, misses):
     assert full_state(mem, cpus) == full_state(ref_mem, ref_cpus)
     # round(2.5) == 2 misses per compute charge made.
     assert mem.counters[0].snapshot()["branch_misses"] == misses
+
+
+@pytest.mark.parametrize("n_cores", [1, 4])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_a_raising_tx_row_keeps_the_rows_before_it(n_cores, index):
+    """A TX burst whose row ``index`` has a ``None`` metadata base raises
+    in that row's walk.  The rows before it are fully charged on both
+    sides, and the raising row keeps its frame's DMA read and its compute
+    and branch-miss charge but no memory costs.  The frames were DMA-
+    written first, so each read promotes LLC lines."""
+    program = ExecProgram(name="tx", instructions=41.7,
+                          branch_miss_expect=2.5,
+                          mem_ops=[MemOp(TARGET_DESCRIPTOR, 0, 16),
+                                   MemOp(TARGET_PACKET_META, 8, 8),
+                                   MemOp(TARGET_DATA, 0, 14)])
+    packets = [(BASES[3] + 8 + 3 * i * LINE, 0, BASES[4] + 40 + i * LINE,
+                BASES[1], 60 + 70 * i) for i in range(3)]
+    meta, mbuf, data, state_base, length = packets[index]
+    packets[index] = (None, mbuf, data, state_base, length)
+    core = n_cores - 1
+    start = (0.1, 7.7, 1e6 + 0.1)
+    rig, ref = Rig(n_cores, start), Rig(n_cores, start)
+    warm = [(data, length) for _, _, data, _, length in packets]
+    rig.mem.dma_write(warm)
+    for addr, size in warm:
+        reference_charge.dma_write(ref.mem, addr, size)
+
+    rows = []
+    for meta, mbuf, data, state_base, length in packets:
+        wqe, first_line, last_line = rig.nic.transmit(
+            BufferRef(0, mbuf, data, meta), length)
+        rows.append((meta, mbuf, wqe, data, state_base, first_line,
+                     last_line))
+    with pytest.raises(TypeError):
+        execute_bases(rig.cpus[core], program, rows, dma_read=True)
+    with pytest.raises(TypeError):
+        for meta, mbuf, data, state_base, length in packets:
+            wqe = reference_charge.transmit(
+                ref.nic, BufferRef(0, mbuf, data, meta), length)
+            reference_charge.charge(ref.cpus[core], program, meta, mbuf,
+                                    wqe, data, state_base)
+    # The ring pushes of the rows after the raise are not compared: the
+    # burst pushed every frame before its one charge.
+    assert full_state(rig.mem, rig.cpus) == full_state(ref.mem, ref.cpus)
+    assert rig.mem.counters[core].snapshot()["branch_misses"] == 2 * (index + 1)

@@ -7,7 +7,8 @@ of both TLB levels.  Small geometries make evictions, DDIO quota hits,
 TLB spills and page walks frequent; addresses straddle lines, pages and
 the hugepage-backed DMA region's start.
 
-A batched ``access_ops`` call is held to one reference ``access`` per
+A burst ``dma_write`` call is held to one reference ``dma_write`` per
+range, and a batched ``access_ops`` call to one reference ``access`` per
 row, added to the same running totals.  Its rows share a few bases, so
 the same-line shortcut (a row on the line the core's previous access
 ended on) is taken often; the totals start at non-dyadic floats, so any
@@ -101,7 +102,10 @@ def operations(n_cores):
             st.tuples(st.just("dma_write_memo"), core, sizes),
             st.tuples(st.just("prefetch"), core, addresses, sizes),
             st.tuples(st.just("lookup"), core, addresses),
-            st.tuples(st.just("dma_write"), addresses, sizes),
+            # One RX burst's DMA ranges, in one call.
+            st.tuples(st.just("dma_write"),
+                      st.lists(st.tuples(addresses, sizes), min_size=1,
+                               max_size=4)),
             st.tuples(st.just("dma_read"), addresses, sizes),
             st.tuples(st.just("flush")),
             st.tuples(st.just("reset_counters")),
@@ -117,7 +121,7 @@ def resolve(mem, op):
     """Fix an operation that depends on ``mem``'s state to plain values."""
     if op[0] == "dma_write_memo":
         line_addr = mem.hierarchy.last_line[op[1]]
-        return ("dma_write", (line_addr or 0) * LINE, op[2])
+        return ("dma_write", [((line_addr or 0) * LINE, op[2])])
     return op
 
 
@@ -140,7 +144,11 @@ def apply(mem, op):
     if kind == "lookup":
         return mem.hierarchy.lookup(op[1], op[2] // LINE)
     if kind == "dma_write":
-        return mem.dma_write(op[1], op[2])
+        if isinstance(mem, reference_model.MemorySystem):
+            for addr, size in op[1]:
+                mem.dma_write(addr, size)
+            return None
+        return mem.dma_write(op[1])
     if kind == "dma_read":
         first_line, last_line = op[1] // LINE, (op[1] + op[2] - 1) // LINE
         if isinstance(mem, reference_model.MemorySystem):
@@ -219,7 +227,9 @@ def test_shipped_geometry_matches_the_reference_on_a_long_mixed_run():
         ring = DMA_BASE + rng.randrange(4096) * 2048
         pick = rng.random()
         if pick < 0.2:
-            ops.append(("dma_write", ring, rng.choice((64, 128, 1500))))
+            cqe = DMA_BASE + (16 << 20) + 64 * rng.randrange(1024)
+            ops.append(("dma_write", [(ring, rng.choice((64, 128, 1500))),
+                                      (cqe, 64)]))
         elif pick < 0.3:
             ops.append(("prefetch", core, ring, 128))
         elif pick < 0.35:

@@ -76,7 +76,7 @@ class TestMemorySystem:
         mem = self._mem()
         mem.access(0, 0x2F00, 8)  # warm the TLB for this page
         mem.reset_counters()
-        mem.dma_write(0x2000, 128)
+        mem.dma_write([(0x2000, 128)])
         cycles, ns = mem.access(0, 0x2000, 8)
         assert mem.counters[0].llc_hits == 1
         assert mem.counters[0].llc_misses == 0
@@ -84,7 +84,7 @@ class TestMemorySystem:
 
     def test_ddio_fill_counter(self):
         mem = self._mem()
-        mem.dma_write(0x2000, 256)
+        mem.dma_write([(0x2000, 256)])
         assert mem.counters[0].ddio_fills == 4
 
     def test_flush_resets_everything(self):
@@ -108,7 +108,7 @@ class TestMemorySystem:
     def test_dma_write_of_the_memo_line_forces_the_full_walk(self):
         mem = self._mem(n_cores=2)
         line = self._memo_on(mem, 0x1000)
-        mem.dma_write(0x1000, 8)
+        mem.dma_write([(0x1000, 8)])
         assert mem.hierarchy.last_line[0] is None
         _, ns = mem.access(0, 0x1000, 8)
         assert mem.counters[0].llc_hits == 1
